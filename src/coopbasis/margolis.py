@@ -20,13 +20,12 @@ deg tau_m = 2p^m - 1 at odd p.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Iterable, Mapping
 
 from .arith import alpha_p, base_p_digits, require_prime
-from .errors import ResourceLimitError
-from .poly import Poly  # noqa: F401  (re-exported type hints elsewhere)
-
-DEFAULT_ENUMERATION_BUDGET = 1_000_000
+from .errors import InternalConsistencyError, ResourceLimitError
+from .semistable import DEFAULT_RESIDUE_BUDGET
 
 Cycle = tuple[tuple["SteenrodMonomial", int], ...]
 
@@ -99,20 +98,22 @@ class SteenrodMonomial:
         return f"SteenrodMonomial(p={self.prime}, {self})"
 
 
+def _add_term(acc: dict[SteenrodMonomial, int], target: SteenrodMonomial,
+              coeff: int, p: int) -> None:
+    """acc[target] += coeff over F_p, dropping the entry when it cancels."""
+    total = (acc.get(target, 0) + coeff) % p
+    if total:
+        acc[target] = total
+    else:
+        acc.pop(target, None)
+
+
 def apply_q(i: int, m: SteenrodMonomial) -> dict[SteenrodMonomial, int]:
     """Q_i applied to a monomial, as an F_p combination of monomials."""
     if i not in (0, 1):
         raise ValueError(f"only Q0 and Q1 act here, got Q{i}")
     p = m.prime
     result: dict[SteenrodMonomial, int] = {}
-
-    def add(target: SteenrodMonomial, coeff: int) -> None:
-        total = (result.get(target, 0) + coeff) % p
-        if total:
-            result[target] = total
-        else:
-            result.pop(target, None)
-
     if p == 2:
         for index, e in m.zeta:
             if index < 3 or e % 2 == 0:
@@ -121,7 +122,7 @@ def apply_q(i: int, m: SteenrodMonomial) -> dict[SteenrodMonomial, int]:
             exps = dict(m.zeta)
             exps[index] = e - 1
             exps[image_index] = exps.get(image_index, 0) + image_exp
-            add(SteenrodMonomial(2, exps), 1)
+            _add_term(result, SteenrodMonomial(2, exps), 1, p)
         return result
 
     for position, index in enumerate(m.tau):
@@ -130,7 +131,7 @@ def apply_q(i: int, m: SteenrodMonomial) -> dict[SteenrodMonomial, int]:
         exps[target_index] = exps.get(target_index, 0) + p ** i
         remaining = tuple(t for t in m.tau if t != index)
         sign = 1 if position % 2 == 0 else p - 1  # odd generators passed over
-        add(SteenrodMonomial(p, exps, remaining), sign)
+        _add_term(result, SteenrodMonomial(p, exps, remaining), sign, p)
     return result
 
 
@@ -138,13 +139,8 @@ def apply_q_linear(i: int, cycle: Cycle) -> dict[SteenrodMonomial, int]:
     """Extend apply_q linearly over an F_p combination."""
     acc: dict[SteenrodMonomial, int] = {}
     for monomial, coeff in cycle:
-        p = monomial.prime
         for target, c in apply_q(i, monomial).items():
-            total = (acc.get(target, 0) + coeff * c) % p
-            if total:
-                acc[target] = total
-            else:
-                acc.pop(target, None)
+            _add_term(acc, target, coeff * c, monomial.prime)
     return acc
 
 
@@ -155,9 +151,10 @@ Matrix = tuple[tuple[int, ...], ...]
 class M1Complex:
     """The weight-2k (p = 2) or weight-pk (odd p) monomial piece with both differentials.
 
+    ``slices[d]`` is the degree-d part of the basis, in basis order.
     ``q0[d]`` and ``q1[d]`` map the degree-d slice to the slice in degree
     d-1 resp. d-(2p-1); rows are indexed by the target slice, columns by
-    the source slice, both in basis order.
+    the source slice.
     """
 
     prime: int
@@ -165,12 +162,13 @@ class M1Complex:
     basis: tuple[SteenrodMonomial, ...]
     q0: dict[int, Matrix]
     q1: dict[int, Matrix]
+    slices: dict[int, tuple[SteenrodMonomial, ...]]
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({m.degree() for m in self.basis}))
+        return tuple(sorted(self.slices))
 
     def degree_slice(self, degree: int) -> tuple[SteenrodMonomial, ...]:
-        return tuple(m for m in self.basis if m.degree() == degree)
+        return self.slices.get(degree, ())
 
     def differential(self, i: int, degree: int) -> Matrix:
         table = self.q0 if i == 0 else self.q1
@@ -205,8 +203,7 @@ def _generators(p: int, max_weight: int) -> list[tuple[str, int, int, int, int |
     return gens
 
 
-def enumerate_m1(p: int, k: int,
-                 budget: int = DEFAULT_ENUMERATION_BUDGET) -> M1Complex:
+def enumerate_m1(p: int, k: int, budget: int = DEFAULT_RESIDUE_BUDGET) -> M1Complex:
     """Enumerate the complete monomial basis of the weight piece and its differentials."""
     require_prime(p)
     if k < 0:
@@ -242,26 +239,26 @@ def enumerate_m1(p: int, k: int,
 
     descend(0, target, {}, [])
     basis = tuple(sorted(found, key=SteenrodMonomial.sort_key))
-    assert all(m.weight() == target for m in basis)
+    if any(m.weight() != target for m in basis):
+        raise InternalConsistencyError(f"enumerated a monomial off weight {target}")
 
-    by_degree: dict[int, list[int]] = {}
-    for position, m in enumerate(basis):
-        by_degree.setdefault(m.degree(), []).append(position)
+    slices = {degree: tuple(ms)
+              for degree, ms in itertools.groupby(basis, SteenrodMonomial.degree)}
 
     def build(i: int) -> dict[int, Matrix]:
         drop = q_degree_drop(p, i)
         table: dict[int, Matrix] = {}
-        for degree, source in by_degree.items():
-            target_slice = by_degree.get(degree - drop, [])
-            row_of = {basis[pos]: row for row, pos in enumerate(target_slice)}
+        for degree, source in slices.items():
+            target_slice = slices.get(degree - drop, ())
+            row_of = {m: row for row, m in enumerate(target_slice)}
             rows = [[0] * len(source) for _ in target_slice]
-            for col, pos in enumerate(source):
-                for monomial, coeff in apply_q(i, basis[pos]).items():
+            for col, m in enumerate(source):
+                for monomial, coeff in apply_q(i, m).items():
                     rows[row_of[monomial]][col] = coeff
             table[degree] = tuple(tuple(r) for r in rows)
         return table
 
-    return M1Complex(p, k, basis, build(0), build(1))
+    return M1Complex(p, k, basis, build(0), build(1), slices)
 
 
 # ---- exact linear algebra over F_p -------------------------------------
@@ -294,7 +291,7 @@ def _rref(rows: Iterable[Iterable[int]], p: int) -> tuple[list[list[int]], list[
     return [r for r in mat if any(r)], pivots
 
 
-def _nullspace(rows: Matrix, ncols: int, p: int) -> list[list[int]]:
+def _nullspace(rows: Iterable[Iterable[int]], ncols: int, p: int) -> list[list[int]]:
     """Basis of the kernel of the map whose matrix rows are given."""
     rref, pivots = _rref(rows, p)
     free = [c for c in range(ncols) if c not in pivots]
@@ -308,14 +305,10 @@ def _nullspace(rows: Matrix, ncols: int, p: int) -> list[list[int]]:
     return basis
 
 
-def _reduce_mod_rows(vec: list[int], rref: list[list[int]], pivots: list[int],
-                     p: int) -> list[int]:
-    out = list(vec)
-    for row, col in zip(rref, pivots):
-        factor = out[col] % p
-        if factor:
-            out = [(a - factor * b) % p for a, b in zip(out, row)]
-    return out
+def _image_columns(complex_: M1Complex, i: int, degree: int) -> list[list[int]]:
+    """im Q_i in the degree-d slice, one vector per column of the incoming matrix."""
+    incoming = complex_.differential(i, degree + q_degree_drop(complex_.prime, i))
+    return [list(column) for column in zip(*incoming)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -330,28 +323,24 @@ class HomologyEntry:
 def margolis_homology(complex_: M1Complex, i: int) -> tuple[HomologyEntry, ...]:
     """ker Q_i / im Q_i per internal degree, with canonical representative cycles.
 
-    Representatives are kernel vectors reduced to normal form against the
-    image (echelon pivots eliminated) with leading coefficient 1, taken in
-    the basis order of the slice; for one-dimensional homology this is the
-    least representative in that ordering.
+    Since Q_i Q_i = 0, reducing ker Q_i against the echelon rows of im Q_i
+    gives exactly the kernel vectors that vanish at the image's pivot
+    columns, a complement of the image in the kernel.  The representatives
+    are the unique reduced row echelon basis of that subspace (leading
+    coefficient 1, columns in the basis order of the slice); for
+    one-dimensional homology this is the least representative in that
+    ordering.
     """
     if i not in (0, 1):
         raise ValueError(f"only Q0 and Q1 act here, got Q{i}")
     p = complex_.prime
-    drop = q_degree_drop(p, i)
     entries = []
     for degree in complex_.degrees():
         slice_ = complex_.degree_slice(degree)
-        outgoing = complex_.differential(i, degree)
-        kernel = _nullspace(outgoing, len(slice_), p)
-        if not kernel:
-            continue
-        incoming = complex_.differential(i, degree + drop)
-        image_vectors = [[row[c] for row in incoming] for c in range(
-            len(incoming[0]) if incoming else 0)]
-        image_rref, image_pivots = _rref(image_vectors, p) if image_vectors else ([], [])
-        reduced = [_reduce_mod_rows(v, image_rref, image_pivots, p) for v in kernel]
-        hom_rows, _ = _rref(reduced, p)
+        _, image_pivots = _rref(_image_columns(complex_, i, degree), p)
+        units = [[int(c == pivot) for c in range(len(slice_))] for pivot in image_pivots]
+        rows = [*complex_.differential(i, degree), *units]
+        hom_rows, _ = _rref(_nullspace(rows, len(slice_), p), p)
         if not hom_rows:
             continue
         generators = tuple(
@@ -366,9 +355,12 @@ def is_cycle(i: int, cycle: Cycle) -> bool:
 
 
 def homologous(complex_: M1Complex, i: int, a: Cycle, b: Cycle) -> bool:
-    """True iff two cycles of the same degree differ by an image element."""
+    """True iff two cycles of the same degree differ by an image element.
+
+    a - b lies in im Q_i exactly when appending it to the image columns
+    leaves their rank over F_p unchanged.
+    """
     p = complex_.prime
-    drop = q_degree_drop(p, i)
     degrees = {m.degree() for m, _ in a} | {m.degree() for m, _ in b}
     if len(degrees) != 1:
         return False
@@ -380,27 +372,27 @@ def homologous(complex_: M1Complex, i: int, a: Cycle, b: Cycle) -> bool:
         vec[position[monomial]] = (vec[position[monomial]] + coeff) % p
     for monomial, coeff in b:
         vec[position[monomial]] = (vec[position[monomial]] - coeff) % p
-    incoming = complex_.differential(i, degree + drop)
-    image_vectors = [[row[c] for row in incoming] for c in range(
-        len(incoming[0]) if incoming else 0)]
-    image_rref, image_pivots = _rref(image_vectors, p) if image_vectors else ([], [])
-    return not any(_reduce_mod_rows(vec, image_rref, image_pivots, p))
+    image = _image_columns(complex_, i, degree)
+    return len(_rref(image + [vec], p)[0]) == len(_rref(image, p)[0])
 
 
 def q_square_is_zero(complex_: M1Complex, i: int) -> bool:
-    """Blockwise check that Q_i composed with itself vanishes."""
+    """Blockwise check that Q_i composed with itself vanishes.
+
+    Each product row sums the rows of the first matrix that the second
+    matrix's row selects with a nonzero entry.
+    """
     p = complex_.prime
     drop = q_degree_drop(p, i)
     for degree in complex_.degrees():
         first = complex_.differential(i, degree)
-        second = complex_.differential(i, degree - drop)
-        if not first or not second:
-            continue
-        for col in range(len(first[0])):
-            column = [row[col] for row in first]
-            for out_row in second:
-                if sum(a * b for a, b in zip(out_row, column)) % p:
-                    return False
+        for out_row in complex_.differential(i, degree - drop):
+            acc = [0] * len(first[0])
+            for coeff, row in zip(out_row, first):
+                if coeff:
+                    acc = [a + coeff * b for a, b in zip(acc, row)]
+            if any(x % p for x in acc):
+                return False
     return True
 
 

@@ -355,7 +355,10 @@ def phi_monomial(p: int, k: int, family: PhiFamily) -> PhiMonomial:
             raise ValueError(f"index {k} needs phi_{i + 1}, beyond family of size {len(family)}")
         product = product * family.phi(i + 1) ** digit
     monomial = PhiMonomial(p, k, digits, product)
-    assert monomial.poly.degree == monomial.degree or k == 0
+    if k and monomial.poly.degree != monomial.degree:
+        raise InternalConsistencyError(
+            f"phi-monomial {k} at p={p} has degree {monomial.poly.degree}, "
+            f"expected {monomial.degree}")
     return monomial
 
 

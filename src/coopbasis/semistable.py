@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .arith import nu_p, require_prime
-from .errors import ResourceLimitError
+from .errors import InternalConsistencyError, ResourceLimitError
 from .poly import Poly
 
 DEFAULT_RESIDUE_BUDGET = 10_000_000
@@ -112,7 +112,8 @@ def expand_in_g(f: Poly) -> GExpansion:
         b = remainder.leading_coefficient() * 2 ** j * math.factorial(j)
         coeffs[j] = b
         remainder = remainder - g_poly(j) * b
-        assert remainder.degree < j
+        if remainder.degree >= j:
+            raise InternalConsistencyError(f"g-elimination did not drop degree {j}")
     return GExpansion(coeffs)
 
 

@@ -1,9 +1,16 @@
+import inspect
+import json
+import pathlib
+
 import pytest
 
-from coopbasis import (ResourceLimitError, SteenrodMonomial, apply_q,
-                       apply_q_linear, cover_rank, cycle_to_string, enumerate_m1,
-                       expected_q0_generator, expected_q1_generator, homologous,
-                       is_cycle, margolis_homology, q_square_is_zero)
+from coopbasis import (DEFAULT_RESIDUE_BUDGET, InternalConsistencyError,
+                       ResourceLimitError, SteenrodMonomial, apply_q,
+                       apply_q_linear, complex_to_json, cover_rank, cycle_to_string,
+                       enumerate_m1, expected_q0_generator, expected_q1_generator,
+                       homologous, is_cycle, margolis_homology, q_square_is_zero)
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def zeta(p, exps, tau=()):
@@ -40,6 +47,17 @@ def test_enumerate_m1_examples():
 def test_enumeration_budget():
     with pytest.raises(ResourceLimitError):
         enumerate_m1(2, 12, budget=3)
+
+
+def test_enumeration_budget_default_matches_cli():
+    budget = inspect.signature(enumerate_m1).parameters["budget"]
+    assert budget.default == DEFAULT_RESIDUE_BUDGET
+
+
+def test_enumeration_checks_weights(monkeypatch):
+    monkeypatch.setattr(SteenrodMonomial, "weight", lambda self: -1)
+    with pytest.raises(InternalConsistencyError):
+        enumerate_m1(2, 2)
 
 
 def test_apply_q_examples():
@@ -110,6 +128,49 @@ def test_homologous_and_cycles():
     assert homologous(complex_, 0, gen, gen)
     other = ((zeta(2, {1: 4, 2: 2}), 1),)  # lives in degree 10, not 8
     assert not homologous(complex_, 0, gen, other)
+
+
+def _slice_cycle(slice_, vec, p):
+    return tuple((m, x % p) for m, x in zip(slice_, vec) if x % p)
+
+
+def _first_image_column(complex_, i, degree):
+    drop = 1 if i == 0 else 2 * complex_.prime - 1
+    column = [row[0] for row in complex_.differential(i, degree + drop)]
+    assert any(column)
+    return column
+
+
+@pytest.mark.parametrize("p, k, i, degree",
+                         [(2, 4, 0, 10), (3, 9, 1, 40), (2, 6, 0, 21), (3, 12, 0, 69)])
+def test_homologous_accepts_image_members(p, k, i, degree):
+    complex_ = enumerate_m1(p, k)
+    slice_ = complex_.degree_slice(degree)
+    column = _first_image_column(complex_, i, degree)
+    a = _slice_cycle(slice_, column, p)  # a boundary, hence a cycle
+    assert is_cycle(i, a)
+    b = _slice_cycle(slice_, [2 * x for x in column], p)  # a + one image column
+    assert homologous(complex_, i, a, b)
+
+
+@pytest.mark.parametrize("p, k, i, degree", [(2, 6, 0, 21), (3, 12, 0, 69)])
+def test_homologous_rejects_differences_outside_the_image(p, k, i, degree):
+    # here the slice is two-dimensional and the image one-dimensional, and
+    # the unit vector at the first basis monomial is not in the image
+    complex_ = enumerate_m1(p, k)
+    slice_ = complex_.degree_slice(degree)
+    column = _first_image_column(complex_, i, degree)
+    a = _slice_cycle(slice_, column, p)
+    b = [2 * x for x in column]
+    b[0] += 1
+    assert not homologous(complex_, i, a, _slice_cycle(slice_, b, p))
+
+
+def test_odd_prime_generators_match_pinned_values():
+    pinned = json.loads((DATA / "margolis_homology_odd.json").read_text())
+    for entry in pinned:
+        payload = complex_to_json(enumerate_m1(entry["p"], entry["k"]))
+        assert payload["homology"] == entry["homology"], (entry["p"], entry["k"])
 
 
 def test_cover_rank_examples():

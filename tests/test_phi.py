@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from coopbasis import (InternalConsistencyError, Poly, ResourceLimitError,
+from coopbasis import (InternalConsistencyError, PhiMonomial, Poly, ResourceLimitError,
                        SymbolicPoly, alpha_p, hazewinkel_t_solutions,
                        is_semistable_2local, is_semistable_plocal_residues,
                        monomial_af, phi_family, phi_family_oracle, phi_monomial)
@@ -142,3 +142,10 @@ def test_oracle_normalization_rejects_inhomogeneous_terms():
     u = SymbolicPoly.variable("u1")
     with pytest.raises(InternalConsistencyError):
         _normalized_t_to_poly(2, 1, u * u)  # degree 2 term, span is 1
+
+
+def test_phi_monomial_checks_its_degree(monkeypatch):
+    fam = phi_family(2, 2)
+    monkeypatch.setattr(PhiMonomial, "degree", property(lambda self: -1))
+    with pytest.raises(InternalConsistencyError):
+        phi_monomial(2, 3, fam)

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from coopbasis import (GExpansion, Poly, ResourceLimitError, binomial_poly,
-                       expand_in_g, g_poly, is_semistable_2local,
+from coopbasis import semistable
+from coopbasis import (GExpansion, InternalConsistencyError, Poly, ResourceLimitError,
+                       binomial_poly, expand_in_g, g_poly, is_semistable_2local,
                        is_semistable_plocal_residues, phi_family)
 
 
@@ -89,3 +90,10 @@ def test_both_testers_agree_at_p2():
         f = Poly([Fraction(rng.randint(-16, 16), rng.choice((1, 2, 4, 8)))
                   for _ in range(rng.randint(0, 7))])
         assert is_semistable_2local(f) == is_semistable_plocal_residues(2, f)
+
+
+def test_expand_in_g_checks_the_degree_drop(monkeypatch):
+    doubled = {j: g_poly(j) * 2 for j in range(3)}
+    monkeypatch.setattr(semistable, "g_poly", doubled.__getitem__)
+    with pytest.raises(InternalConsistencyError):
+        expand_in_g(Poly.parse("w^2"))
