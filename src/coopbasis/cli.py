@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -208,10 +209,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     p = args.prime
     checks: list[dict] = []
 
-    digits_needed = len(base_p_digits(p, args.max_k)) if args.max_k else 1
-    family_size = max(1, args.max_n.bit_length() if p == 2 else args.max_n, digits_needed)
-
-    family = phi_family(p, family_size, residue_budget=budget)
+    family_size = max(1, len(base_p_digits(p, args.max_n)), len(base_p_digits(p, args.max_k)))
+    family = phi_family(p, family_size, verify_integrality=False)
     oracle = phi_family_oracle(p, family_size)
     checks.append({
         "name": "oracle_equivalence",
@@ -219,31 +218,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "detail": {"size": family_size},
     })
 
-    skipped: list[int] = []
+    integrality = {"max_k": args.max_k, "over_budget_phi": [], "over_budget_k": []}
+    cases = itertools.chain(
+        (("over_budget_phi", n, family.phi(n)) for n in range(1, len(family) + 1)),
+        (("over_budget_k", k, phi_monomial(p, k, family).poly) for k in range(args.max_k + 1)))
     integral_ok = True
-    if p == 2:
-        for k in range(args.max_k + 1):
-            if not is_semistable_2local(phi_monomial(2, k, family).poly):
-                integral_ok = False
-    else:
-        for n in range(1, len(family) + 1):
-            try:
-                if not is_semistable_plocal_residues(p, family.phi(n), budget=budget):
-                    integral_ok = False
-            except ResourceLimitError:
-                skipped.append(n)
-        for k in range(args.max_k + 1):
-            try:
-                if not is_semistable_plocal_residues(p, phi_monomial(p, k, family).poly,
-                                                     budget=budget):
-                    integral_ok = False
-            except ResourceLimitError:
-                continue
-    checks.append({
-        "name": "integrality",
-        "pass": integral_ok,
-        "detail": {"max_k": args.max_k, "over_budget_phi": skipped},
-    })
+    for skipped, index, f in cases:
+        try:
+            integral = (is_semistable_2local(f) if p == 2
+                        else is_semistable_plocal_residues(p, f, budget=budget))
+        except ResourceLimitError:
+            integrality[skipped].append(index)
+            continue
+        integral_ok = integral_ok and integral
+    checks.append({"name": "integrality", "pass": integral_ok, "detail": integrality})
 
     congruence_json: list[dict] = []
     if p == 2:
@@ -320,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_weight.set_defaults(handler=cmd_weight)
 
     p_verify = sub.add_parser("verify", help="run the full verification suite")
-    p_verify.add_argument("--max-n", type=int, default=16, dest="max_n")
+    p_verify.add_argument("--max-n", type=int, default=16, dest="max_n",
+                          help="index bound at every prime: congruence suite to n at p = 2, "
+                               "phi_1..phi_D for D base-p digits of max(n, max-k)")
     p_verify.add_argument("--max-k", type=int, default=12, dest="max_k")
     common(p_verify)
     p_verify.set_defaults(handler=cmd_verify)

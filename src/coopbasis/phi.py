@@ -28,11 +28,9 @@ from typing import Iterable, Mapping
 
 from .arith import alpha_p, base_p_digits, require_prime
 from .errors import InternalConsistencyError, ResourceLimitError
-from .poly import Poly
+from .poly import DEFAULT_MAX_DEGREE, Poly
 from .semistable import (DEFAULT_RESIDUE_BUDGET, is_semistable_2local,
                          is_semistable_plocal_residues)
-
-DEFAULT_MAX_DEGREE = 1_000_000
 
 Monomial = tuple[tuple[str, int], ...]
 

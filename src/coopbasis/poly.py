@@ -11,6 +11,7 @@ from .arith import Valuation, nu_p
 from .errors import PolyParseError
 
 NEG_INFINITY = float("-inf")
+DEFAULT_MAX_DEGREE = 1_000_000
 
 
 def _coerce(value: object) -> Fraction:
@@ -79,10 +80,14 @@ class Poly:
             return self._coeffs[exponent]
         return Fraction(0)
 
-    def leading_coefficient(self) -> Fraction:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+    def as_integer_ratio(self) -> tuple[tuple[int, ...], int]:
+        """Integer numerators over their least common denominator.
+
+        Returns ``(nums, den)`` with ``self == sum(nums[i] * w^i) / den``
+        and ``den >= 1`` minimal; ``((), 1)`` for the zero polynomial.
+        """
+        den = math.lcm(*(c.denominator for c in self._coeffs))
+        return tuple(c.numerator * (den // c.denominator) for c in self._coeffs), den
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self._coeffs)
@@ -200,13 +205,9 @@ class Poly:
     def __str__(self) -> str:
         if not self._coeffs:
             return "0"
-        den = 1
-        for c in self._coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        body = _render_integer_poly([c * den for c in self._coeffs])
-        if den == 1:
-            return body
-        return f"({body})/{den}"
+        nums, den = self.as_integer_ratio()
+        body = _render_integer_poly(nums)
+        return body if den == 1 else f"({body})/{den}"
 
     # ---- parsing --------------------------------------------------------
 
@@ -216,14 +217,13 @@ class Poly:
         return _Parser(text).parse()
 
 
-def _render_integer_poly(coeffs: list[Fraction]) -> str:
+def _render_integer_poly(coeffs: tuple[int, ...]) -> str:
     terms = []
     for exp in range(len(coeffs) - 1, -1, -1):
         c = coeffs[exp]
         if c == 0:
             continue
-        mag = abs(c)
-        mag_int = mag.numerator  # denominator 1 by construction
+        mag_int = abs(c)
         if exp == 0:
             text = str(mag_int)
         else:
@@ -247,7 +247,8 @@ class _Parser:
     factor := atom ('^' natural)*
     atom   := natural | 'w' | '(' expr ')'
 
-    Division requires a nonzero constant divisor.
+    Division requires a nonzero constant divisor.  No power or product is
+    expanded whose degree would exceed ``DEFAULT_MAX_DEGREE``.
     """
 
     def __init__(self, text: str) -> None:
@@ -305,6 +306,9 @@ class _Parser:
             op = self._next()
             rhs = self._factor()
             if op == "*":
+                if max(acc.degree, 0) + max(rhs.degree, 0) > DEFAULT_MAX_DEGREE:
+                    raise PolyParseError(f"product in {self._text!r} is over the "
+                                         f"degree cap {DEFAULT_MAX_DEGREE}")
                 acc = acc * rhs
             else:
                 if rhs.degree > 0:
@@ -322,7 +326,11 @@ class _Parser:
             token = self._next()
             if not token.isdigit():
                 raise PolyParseError(f"exponent must be a natural number, got {token!r}")
-            acc = acc ** int(token)
+            e = int(token)
+            if e * max(acc.degree, 1) > DEFAULT_MAX_DEGREE:
+                raise PolyParseError(f"power ^{e} in {self._text!r} is over the "
+                                     f"degree cap {DEFAULT_MAX_DEGREE}")
+            acc = acc ** e
         return acc
 
     def _atom(self) -> Poly:

@@ -6,9 +6,11 @@ Z_(2) for every 2-adic unit k.  The polynomials
     g_n(w) = (w - 1)(w - 3) ... (w - (2n - 1)) / (2^n n!)
 
 are a Z_(2)-basis of the semistable polynomials, obtained from the binomial
-coefficient polynomials under the coordinate change k -> 2k + 1, so 2-local
-integrality is decided by expanding in the g-basis.  At odd primes there is
-no such basis here and the test exhausts unit residues modulo p^e.
+coefficient polynomials under the coordinate change k -> 2k + 1:
+g_j(2x + 1) = C(x, j).  So the g-coordinates of f are the Mahler
+coefficients of x -> f(2x + 1), its forward differences at 0, and 2-local
+integrality is decided by those coordinates.  At odd primes there is no
+such basis here and the test exhausts unit residues modulo p^e.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .arith import nu_p, require_prime
-from .errors import InternalConsistencyError, ResourceLimitError
+from .errors import ResourceLimitError
 from .poly import Poly
 
 DEFAULT_RESIDUE_BUDGET = 10_000_000
@@ -102,18 +104,24 @@ class GExpansion:
 def expand_in_g(f: Poly) -> GExpansion:
     """Unique exact coordinates of f in the g-basis.
 
-    Descending-degree triangular elimination: g_j has degree j and leading
-    coefficient 1/(2^j j!), so b_j = coeff_j(remainder) * 2^j * j!.
+    Since g_j(2x + 1) = C(x, j), f = sum_j b_j g_j gives
+    f(2x + 1) = sum_j b_j C(x, j), so b_j is the j-th forward difference of
+    x -> f(2x + 1) at 0 (Mahler's theorem).  With f = F/den for an integer
+    polynomial F, the differences are taken over the integers F(1), F(3),
+    ..., F(2d + 1), and b_j is the j-th leading difference divided by den.
     """
-    coeffs: dict[int, Fraction] = {}
-    remainder = f
-    while not remainder.is_zero():
-        j = remainder.degree
-        b = remainder.leading_coefficient() * 2 ** j * math.factorial(j)
-        coeffs[j] = b
-        remainder = remainder - g_poly(j) * b
-        if remainder.degree >= j:
-            raise InternalConsistencyError(f"g-elimination did not drop degree {j}")
+    nums, den = f.as_integer_ratio()
+    values = []
+    for x in range(1, 2 * len(nums), 2):
+        acc = 0
+        for c in reversed(nums):
+            acc = acc * x + c
+        values.append(acc)
+    coeffs = {}
+    for j in range(len(values)):
+        coeffs[j] = Fraction(values[j], den)
+        for i in range(len(values) - 1, j, -1):
+            values[i] -= values[i - 1]
     return GExpansion(coeffs)
 
 

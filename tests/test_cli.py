@@ -80,6 +80,10 @@ def test_expand_parse_error(capsys):
     assert code == 2
     assert "error" in err
 
+    code, _, err = run(capsys, "expand", "--basis", "g", "w^99999999")
+    assert code == 2
+    assert "degree cap" in err
+
 
 def test_expand_accepts_coefficient_list(capsys):
     code, out, _ = run(capsys, "expand", "--basis", "g", "[\"0\", \"0\", \"1\"]",
@@ -147,6 +151,17 @@ def test_verify_odd_prime(capsys):
     payload = json.loads(out)
     assert payload["pass"] is True
     assert "congruences" not in payload
+
+    code, out, _ = run(capsys, "verify", "--prime", "3", "--max-n", "1",
+                       "--max-k", "12", "--format", "json")
+    assert code == 0
+    detail = {c["name"]: c["detail"] for c in json.loads(out)["checks"]}["integrality"]
+    assert detail["over_budget_phi"] == [3]
+    assert detail["over_budget_k"] == [9, 10, 11, 12]
+
+    code, out, _ = run(capsys, "verify", "--prime", "3")
+    assert code == 0
+    assert out.rstrip().endswith("overall: PASS")
 
 
 def test_verify_rejects_composite_prime(capsys):

@@ -124,7 +124,8 @@ def test_parse_round_trips_rendering():
         assert Poly.parse(str(f)) == f
 
 
-@pytest.mark.parametrize("bad", ["", "w +", "x^2", "w^-1", "(w", "w/(w+1)", "1/0", "2..3"])
+@pytest.mark.parametrize("bad", ["", "w +", "x^2", "w^-1", "(w", "w/(w+1)", "1/0", "2..3",
+                                 "w^2000000", "w^1000*w^1000000"])
 def test_parse_errors(bad):
     with pytest.raises(PolyParseError):
         Poly.parse(bad)
