@@ -92,10 +92,13 @@ def cmd_phi(args: argparse.Namespace) -> int:
     budget = _resolve_budget(args)
     family = phi_family(args.prime, args.n, residue_budget=budget)
     rows = [
-        {"n": n, "af": family.af[n - 1], "degree": int(family.phi(n).degree),
+        {"n": n, "af": family.af[n - 1], "degree": family.phi(n).degree,
          "coefficients": family.phi(n).to_json(), "text": str(family.phi(n))}
         for n in range(1, len(family) + 1)
     ]
+    for n in family.over_budget:
+        print(f"note: phi_{n} not integrality-tested: residue test over budget {budget}",
+              file=sys.stderr)
     payload = {"prime": args.prime, "family": rows}
     pretty = [f"phi_{r['n']}  AF={r['af']}  {r['text']}" for r in rows]
     csv_rows: list[list[object]] = [["n", "af", "degree", "poly"]]

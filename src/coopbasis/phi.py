@@ -184,11 +184,13 @@ class PhiFamily:
     """Memoized phi_1..phi_N for a fixed prime, with Adams filtrations.
 
     ``polys[i]`` is phi_{i+1}; ``af[i]`` its filtration -(p^(i+1)-1)/(p-1).
+    ``over_budget`` lists the n whose integrality test was over the residue budget.
     """
 
     prime: int
     polys: tuple[Poly, ...]
     af: tuple[int, ...]
+    over_budget: tuple[int, ...] = ()
 
     def __len__(self) -> int:
         return len(self.polys)
@@ -203,18 +205,20 @@ def _af_value(p: int, n: int) -> int:
     return -((p ** n - 1) // (p - 1))
 
 
-def _check_family_integrality(p: int, polys: tuple[Poly, ...],
-                              residue_budget: int) -> None:
+def _check_family_integrality(p: int, polys: list[Poly],
+                              residue_budget: int) -> tuple[int, ...]:
+    """Test every member; return the n whose residue test is over budget."""
+    over_budget = []
     for n, f in enumerate(polys, start=1):
-        if p == 2:
-            ok = is_semistable_2local(f)
-        else:
-            try:
-                ok = is_semistable_plocal_residues(p, f, budget=residue_budget)
-            except ResourceLimitError:
-                continue  # over-budget members are vouched for by the oracle equality
+        try:
+            ok = (is_semistable_2local(f) if p == 2
+                  else is_semistable_plocal_residues(p, f, budget=residue_budget))
+        except ResourceLimitError:
+            over_budget.append(n)
+            continue
         if not ok:
             raise InternalConsistencyError(f"phi_{n} failed the p={p} integrality test")
+    return tuple(over_budget)
 
 
 def phi_family(p: int, count: int, *, max_degree: int = DEFAULT_MAX_DEGREE,
@@ -230,15 +234,17 @@ def phi_family(p: int, count: int, *, max_degree: int = DEFAULT_MAX_DEGREE,
             f"phi_{count} at p={p} has degree {top_degree}, over the cap {max_degree}",
             required=top_degree, budget=max_degree)
     polys: list[Poly] = []
+    powers: list[Poly] = []  # phi_i^(p^(n-1-i)) for i = 1..n-1, from the level before
     for n in range(1, count + 1):
+        powers = [f ** p for f in powers]
         numerator = Poly.monomial(1, p ** n - 1) - 1
-        for i in range(1, n):
-            numerator = numerator - polys[i - 1] ** (p ** (n - i)) * p ** i
+        for i, power in enumerate(powers, start=1):
+            numerator = numerator - power * p ** i
         polys.append(numerator * Fraction(1, p ** n))
-    family = tuple(polys)
-    if verify_integrality:
-        _check_family_integrality(p, family, residue_budget)
-    return PhiFamily(p, family, tuple(_af_value(p, n) for n in range(1, count + 1)))
+        powers.append(polys[-1])
+    over_budget = _check_family_integrality(p, polys, residue_budget) if verify_integrality else ()
+    return PhiFamily(p, tuple(polys), tuple(_af_value(p, n) for n in range(1, count + 1)),
+                     over_budget)
 
 
 def hazewinkel_t_solutions(p: int, count: int) -> list[SymbolicPoly]:

@@ -10,7 +10,6 @@ from typing import Iterable, Iterator
 from .arith import Valuation, nu_p
 from .errors import PolyParseError
 
-NEG_INFINITY = float("-inf")
 DEFAULT_MAX_DEGREE = 1_000_000
 
 
@@ -26,7 +25,7 @@ class Poly:
     """Immutable dense polynomial; coefficient i belongs to w^i.
 
     Trailing zero coefficients are trimmed, so the zero polynomial stores
-    nothing and reports degree -inf.
+    nothing and reports degree -1.
     """
 
     __slots__ = ("_coeffs",)
@@ -68,9 +67,9 @@ class Poly:
         return self._coeffs
 
     @property
-    def degree(self) -> int | float:
-        """Degree in w; -inf for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INFINITY
+    def degree(self) -> int:
+        """Degree in w; -1 for the zero polynomial."""
+        return len(self._coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -247,8 +246,8 @@ class _Parser:
     factor := atom ('^' natural)*
     atom   := natural | 'w' | '(' expr ')'
 
-    Division requires a nonzero constant divisor.  No power or product is
-    expanded whose degree would exceed ``DEFAULT_MAX_DEGREE``.
+    Division requires a nonzero constant divisor.  Each rule is passed the
+    degree its result may have, and raises before its input would exceed it.
     """
 
     def __init__(self, text: str) -> None:
@@ -284,33 +283,30 @@ class _Parser:
     def parse(self) -> Poly:
         if not self._tokens:
             raise PolyParseError("empty polynomial expression")
-        result = self._expr()
+        result = self._expr(DEFAULT_MAX_DEGREE)
         if self._peek() is not None:
             raise PolyParseError(f"trailing input {self._peek()!r} in {self._text!r}")
         return result
 
-    def _expr(self) -> Poly:
+    def _expr(self, cap: int) -> Poly:
         sign = 1
         if self._peek() in ("+", "-"):
             sign = -1 if self._next() == "-" else 1
-        acc = self._term() * sign
+        acc = self._term(cap) * sign
         while self._peek() in ("+", "-"):
             op = self._next()
-            term = self._term()
+            term = self._term(cap)
             acc = acc + term if op == "+" else acc - term
         return acc
 
-    def _term(self) -> Poly:
-        acc = self._factor()
+    def _term(self, cap: int) -> Poly:
+        acc = self._factor(cap)
         while self._peek() in ("*", "/"):
             op = self._next()
-            rhs = self._factor()
             if op == "*":
-                if max(acc.degree, 0) + max(rhs.degree, 0) > DEFAULT_MAX_DEGREE:
-                    raise PolyParseError(f"product in {self._text!r} is over the "
-                                         f"degree cap {DEFAULT_MAX_DEGREE}")
-                acc = acc * rhs
+                acc = acc * self._factor(cap - max(acc.degree, 0))
             else:
+                rhs = self._factor(cap)
                 if rhs.degree > 0:
                     raise PolyParseError("division by a non-constant polynomial")
                 divisor = rhs.coefficient(0)
@@ -319,28 +315,31 @@ class _Parser:
                 acc = acc * (1 / divisor)
         return acc
 
-    def _factor(self) -> Poly:
-        acc = self._atom()
+    def _factor(self, cap: int) -> Poly:
+        acc = self._atom(cap)
         while self._peek() == "^":
             self._next()
             token = self._next()
             if not token.isdigit():
                 raise PolyParseError(f"exponent must be a natural number, got {token!r}")
             e = int(token)
-            if e * max(acc.degree, 1) > DEFAULT_MAX_DEGREE:
+            if e > DEFAULT_MAX_DEGREE or e * max(acc.degree, 0) > cap:
                 raise PolyParseError(f"power ^{e} in {self._text!r} is over the "
                                      f"degree cap {DEFAULT_MAX_DEGREE}")
             acc = acc ** e
         return acc
 
-    def _atom(self) -> Poly:
+    def _atom(self, cap: int) -> Poly:
         token = self._next()
         if token.isdigit():
             return Poly.constant(int(token))
         if token == "w":
+            if cap < 1:
+                raise PolyParseError(f"{self._text!r} is over the degree cap "
+                                     f"{DEFAULT_MAX_DEGREE}")
             return Poly.variable()
         if token == "(":
-            inner = self._expr()
+            inner = self._expr(cap)
             if self._next() != ")":
                 raise PolyParseError(f"unbalanced parentheses in {self._text!r}")
             return inner

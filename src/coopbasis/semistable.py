@@ -43,10 +43,11 @@ def g_poly(n: int) -> Poly:
     """The semistable basis polynomial (w-1)(w-3)...(w-(2n-1))/(2^n n!)."""
     if n < 0:
         raise ValueError(f"expected a natural number, got {n}")
-    product = Poly.one()
+    nums = [1]
     for i in range(1, n + 1):
-        product = product * Poly((-(2 * i - 1), 1))
-    return product * Fraction(1, 2 ** n * math.factorial(n))
+        nums = [a - (2 * i - 1) * b for a, b in zip([0] + nums, nums + [0])]
+    den = 2 ** n * math.factorial(n)
+    return Poly(Fraction(c, den) for c in nums)
 
 
 class GExpansion:
@@ -144,8 +145,7 @@ def is_semistable_plocal_residues(p: int, f: Poly,
     e = 0 if min_val.is_infinite else max(0, -min_val.value)
     if e == 0:
         return True
-    terms = int(f.degree) + 1
-    cost = p ** e * terms
+    cost = p ** e * (f.degree + 1)
     if cost > budget:
         raise ResourceLimitError(
             f"residue test needs e={e}: p^e*(deg+1) = {cost} exceeds budget {budget}",

@@ -34,6 +34,17 @@ def test_phi_resource_error_exits_2(capsys):
     assert "degree" in err
 
 
+def test_phi_reports_members_over_the_residue_budget(capsys):
+    # at p = 3, phi_2 needs e = 4 (cost 729) and phi_3 needs e = 13
+    code, _, err = run(capsys, "phi", "--prime", "3", "--n", "3", "--budget", "10")
+    assert code == 0
+    assert err.splitlines() == [
+        f"note: phi_{n} not integrality-tested: residue test over budget 10" for n in (2, 3)]
+    code, _, err = run(capsys, "phi", "--prime", "3", "--n", "2")
+    assert code == 0
+    assert err == ""
+
+
 def test_g_csv(capsys):
     code, out, _ = run(capsys, "g", "--n", "2", "--format", "csv")
     assert code == 0

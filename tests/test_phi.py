@@ -22,6 +22,8 @@ def test_phi_family_odd_prime_values():
     assert fam.phi(1) == Poly((Fraction(-1, 3), 0, Fraction(1, 3)))
     assert fam.phi(2).evaluate(2) == 28
     assert fam.af == (-1, -4)
+    assert fam.over_budget == ()
+    assert phi_family(3, 3, residue_budget=10).over_budget == (2, 3)
 
 
 def test_phi_degrees_and_exponent_support():

@@ -17,8 +17,8 @@ def test_construction_trims_and_normalizes():
     assert Poly((Fraction(1, 2),)).coefficient(0) == Fraction(1, 2)
 
 
-def test_degree_of_zero_is_negative_infinity():
-    assert Poly.zero().degree == float("-inf")
+def test_degree_of_zero_is_minus_one():
+    assert Poly.zero().degree == -1
     assert Poly.one().degree == 0
     assert Poly.monomial(3, 5).degree == 5
 
@@ -129,3 +129,17 @@ def test_parse_round_trips_rendering():
 def test_parse_errors(bad):
     with pytest.raises(PolyParseError):
         Poly.parse(bad)
+
+
+def test_parse_rejects_a_right_factor_before_expanding_it(monkeypatch):
+    exponents = []
+    power = Poly.__pow__
+
+    def spy(self, exponent):
+        exponents.append(exponent)
+        return power(self, exponent)
+
+    monkeypatch.setattr(Poly, "__pow__", spy)
+    with pytest.raises(PolyParseError, match="degree cap"):
+        Poly.parse("w^1000*w^1000000")
+    assert exponents == [1000]

@@ -1,0 +1,56 @@
+"""Property tests: ring laws, serialization round trips, tester agreement."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coopbasis import (GExpansion, Poly, expand_in_g, is_semistable_2local,
+                       is_semistable_plocal_residues)
+
+PROPERTY = settings(database=None, derandomize=True, deadline=None)
+
+rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+polys = st.lists(rationals, max_size=6).map(Poly)
+integer_polys = st.lists(st.integers(-9, 9), max_size=4).map(Poly)
+PHI1 = Poly((Fraction(-1, 2), Fraction(1, 2)))
+
+
+@st.composite
+def two_power_polys(draw):
+    """a + b * phi_1^k, semistable, perturbed half the time by c * w^i / 2^m."""
+    f = draw(integer_polys) + draw(integer_polys) * PHI1 ** draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        c = Fraction(draw(st.integers(-9, 9)), 2 ** draw(st.integers(1, 4)))
+        f = f + Poly.monomial(c, draw(st.integers(0, 3)))
+    return f
+
+
+@PROPERTY
+@given(polys, polys, polys)
+def test_ring_laws(f, g, h):
+    assert (f + g) + h == f + (g + h)
+    assert f + g == g + f
+    assert (f * g) * h == f * (g * h)
+    assert f * g == g * f
+    assert f * (g + h) == f * g + f * h
+    assert f + Poly.zero() == f
+    assert f * Poly.one() == f
+    assert (f - f).is_zero()
+    assert (f * g).degree == (-1 if f.is_zero() or g.is_zero() else f.degree + g.degree)
+
+
+@PROPERTY
+@given(polys)
+def test_round_trips(f):
+    assert Poly.parse(str(f)) == f
+    assert Poly.from_json(f.to_json()) == f
+    expansion = expand_in_g(f)
+    assert GExpansion.from_json(expansion.to_json()) == expansion
+    assert expansion.to_poly() == f
+
+
+@PROPERTY
+@given(two_power_polys())
+def test_testers_agree_at_2(f):
+    assert is_semistable_2local(f) == is_semistable_plocal_residues(2, f)
