@@ -20,11 +20,11 @@ from .margolis import (HomologyEntry, M1Complex, SteenrodMonomial, apply_q,
                        enumerate_m1, expected_q0_generator, expected_q1_generator,
                        homologous, is_cycle, margolis_homology, q_square_is_zero)
 from .phi import (DEFAULT_MAX_DEGREE, PhiFamily, PhiMonomial, SymbolicPoly,
-                  hazewinkel_t_solutions, monomial_af, phi_family,
-                  phi_family_oracle, phi_monomial)
+                  digit_products, hazewinkel_t_solutions, monomial_af, phi_family,
+                  phi_family_oracle, phi_monomial, phi_monomials)
 from .poly import Poly
 from .semistable import (DEFAULT_RESIDUE_BUDGET, GExpansion, binomial_poly,
-                         expand_in_g, g_poly, is_semistable_2local,
+                         expand_in_g, g_poly, integrality_verdicts, is_semistable_2local,
                          is_semistable_plocal_residues)
 
 __version__ = "0.1.0"
@@ -41,10 +41,10 @@ __all__ = [
     "complex_to_json", "cover_rank", "cycle_to_string", "enumerate_m1",
     "expected_q0_generator", "expected_q1_generator", "homologous", "is_cycle",
     "margolis_homology", "q_square_is_zero",
-    "DEFAULT_MAX_DEGREE", "PhiFamily", "PhiMonomial", "SymbolicPoly",
+    "DEFAULT_MAX_DEGREE", "PhiFamily", "PhiMonomial", "SymbolicPoly", "digit_products",
     "hazewinkel_t_solutions", "monomial_af", "phi_family", "phi_family_oracle",
-    "phi_monomial",
+    "phi_monomial", "phi_monomials",
     "Poly",
     "DEFAULT_RESIDUE_BUDGET", "GExpansion", "binomial_poly", "expand_in_g",
-    "g_poly", "is_semistable_2local", "is_semistable_plocal_residues",
+    "g_poly", "integrality_verdicts", "is_semistable_2local", "is_semistable_plocal_residues",
 ]

@@ -17,9 +17,9 @@ import dataclasses
 import math
 from fractions import Fraction
 
-from .arith import Valuation, alpha_p, base_p_digits, nu_p
+from .arith import Valuation, alpha_p, nu_p
 from .errors import NotSemistableError, WeightMonotonicityError
-from .phi import PhiFamily, phi_family, phi_monomial
+from .phi import PhiFamily, digit_products, phi_family, phi_monomials
 from .poly import Poly
 from .semistable import GExpansion, expand_in_g, g_poly
 
@@ -121,16 +121,13 @@ def verify_congruences(max_n: int) -> list[CongruenceCheck]:
     for j in range(top):
         checks.append(_check_pair("g_power2_vs_phi", 1 << j, g_poly(1 << j), fam.phi(j + 1)))
 
+    g_products = digit_products(2, [g_poly(1 << i) for i in range(top)], max_n + 1)
     for n in range(1, max_n + 1):
-        rhs = Poly.one()
-        for i, digit in enumerate(base_p_digits(2, n)):
-            if digit:
-                rhs = rhs * g_poly(1 << i)
-        checks.append(_check_pair("g_vs_g_digit_product", n, g_poly(n), rhs))
+        checks.append(_check_pair("g_vs_g_digit_product", n, g_poly(n), g_products[n]))
 
+    monomials = phi_monomials(2, max_n + 1, fam)
     for n in range(1, max_n + 1):
-        checks.append(_check_pair("g_vs_phi_monomial", n, g_poly(n),
-                                  phi_monomial(2, n, fam).poly))
+        checks.append(_check_pair("g_vs_phi_monomial", n, g_poly(n), monomials[n].poly))
 
     return checks
 
@@ -203,8 +200,8 @@ def expand_in_phi(f: Poly, precision: int) -> PhiExpansion:
             f"input is not 2-locally semistable at g-indices {[j for j, _, _ in offending]}",
             coordinates=offending)
 
-    family = PhiFamily(2, (), ())
-    monomials: dict[int, Poly] = {}  # indices recur across steps
+    family = PhiFamily(2, ())
+    monomials = phi_monomials(2, 1, family)  # every index below 2^len(family)
     residual = f
     exact: dict[int, Fraction] = {}
     trace: list[TraceStep] = []
@@ -220,12 +217,11 @@ def expand_in_phi(f: Poly, precision: int) -> PhiExpansion:
         previous = report.weight
         step_coeffs = []
         for j in report.argmin:
-            if j not in monomials:
-                if j.bit_length() > len(family):
-                    family = phi_family(2, j.bit_length())
-                monomials[j] = phi_monomial(2, j, family).poly
+            if j.bit_length() > len(family):
+                family = phi_family(2, j.bit_length())
+                monomials = phi_monomials(2, 1 << len(family), family)
             b = report.expansion[j]
-            residual = residual - monomials[j] * b
+            residual = residual - monomials[j].poly * b
             exact[j] = exact.get(j, Fraction(0)) + b
             step_coeffs.append((j, b))
         trace.append(TraceStep(report.weight.value, report.argmin, tuple(step_coeffs)))

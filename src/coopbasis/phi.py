@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .arith import alpha_p, base_p_digits, require_prime
 from .errors import InternalConsistencyError, ResourceLimitError
 from .poly import DEFAULT_MAX_DEGREE, Poly
-from .semistable import (DEFAULT_RESIDUE_BUDGET, is_semistable_2local,
-                         is_semistable_plocal_residues)
+from .semistable import DEFAULT_RESIDUE_BUDGET, integrality_verdicts
 
 Monomial = tuple[tuple[str, int], ...]
 
@@ -189,11 +188,14 @@ class PhiFamily:
 
     prime: int
     polys: tuple[Poly, ...]
-    af: tuple[int, ...]
     over_budget: tuple[int, ...] = ()
 
     def __len__(self) -> int:
         return len(self.polys)
+
+    @property
+    def af(self) -> tuple[int, ...]:
+        return tuple(_af_value(self.prime, n) for n in range(1, len(self.polys) + 1))
 
     def phi(self, n: int) -> Poly:
         if not 1 <= n <= len(self.polys):
@@ -205,34 +207,21 @@ def _af_value(p: int, n: int) -> int:
     return -((p ** n - 1) // (p - 1))
 
 
-def _check_family_integrality(p: int, polys: list[Poly],
-                              residue_budget: int) -> tuple[int, ...]:
-    """Test every member; return the n whose residue test is over budget."""
-    over_budget = []
-    for n, f in enumerate(polys, start=1):
-        try:
-            ok = (is_semistable_2local(f) if p == 2
-                  else is_semistable_plocal_residues(p, f, budget=residue_budget))
-        except ResourceLimitError:
-            over_budget.append(n)
-            continue
-        if not ok:
-            raise InternalConsistencyError(f"phi_{n} failed the p={p} integrality test")
-    return tuple(over_budget)
-
-
-def phi_family(p: int, count: int, *, max_degree: int = DEFAULT_MAX_DEGREE,
-               residue_budget: int = DEFAULT_RESIDUE_BUDGET,
-               verify_integrality: bool = True) -> PhiFamily:
-    """Construct phi_1..phi_count at the prime p by the defining recursion."""
+def _check_family_size(p: int, count: int) -> None:
     require_prime(p)
     if count < 1:
         raise ValueError(f"family size must be >= 1, got {count}")
     top_degree = p ** count - 1
-    if top_degree > max_degree:
+    if top_degree > DEFAULT_MAX_DEGREE:
         raise ResourceLimitError(
-            f"phi_{count} at p={p} has degree {top_degree}, over the cap {max_degree}",
-            required=top_degree, budget=max_degree)
+            f"phi_{count} at p={p} has degree {top_degree}, over the cap {DEFAULT_MAX_DEGREE}",
+            required=top_degree, budget=DEFAULT_MAX_DEGREE)
+
+
+def phi_family(p: int, count: int, *, residue_budget: int = DEFAULT_RESIDUE_BUDGET,
+               verify_integrality: bool = True) -> PhiFamily:
+    """Construct phi_1..phi_count at the prime p by the defining recursion."""
+    _check_family_size(p, count)
     polys: list[Poly] = []
     powers: list[Poly] = []  # phi_i^(p^(n-1-i)) for i = 1..n-1, from the level before
     for n in range(1, count + 1):
@@ -242,9 +231,12 @@ def phi_family(p: int, count: int, *, max_degree: int = DEFAULT_MAX_DEGREE,
             numerator = numerator - power * p ** i
         polys.append(numerator * Fraction(1, p ** n))
         powers.append(polys[-1])
-    over_budget = _check_family_integrality(p, polys, residue_budget) if verify_integrality else ()
-    return PhiFamily(p, tuple(polys), tuple(_af_value(p, n) for n in range(1, count + 1)),
-                     over_budget)
+    verdicts = integrality_verdicts(p, polys, residue_budget) if verify_integrality else []
+    if False in verdicts:
+        raise InternalConsistencyError(
+            f"phi_{verdicts.index(False) + 1} failed the p={p} integrality test")
+    over_budget = tuple(n for n, v in enumerate(verdicts, start=1) if v is None)
+    return PhiFamily(p, tuple(polys), over_budget)
 
 
 def hazewinkel_t_solutions(p: int, count: int) -> list[SymbolicPoly]:
@@ -312,20 +304,12 @@ def _normalized_t_to_poly(p: int, n: int, t_expr: SymbolicPoly) -> Poly:
     return Poly(coeffs)
 
 
-def phi_family_oracle(p: int, count: int, *,
-                      max_degree: int = DEFAULT_MAX_DEGREE) -> PhiFamily:
+def phi_family_oracle(p: int, count: int) -> PhiFamily:
     """Independent construction of the family from the Hazewinkel formulas."""
-    require_prime(p)
-    if count < 1:
-        raise ValueError(f"family size must be >= 1, got {count}")
-    top_degree = p ** count - 1
-    if top_degree > max_degree:
-        raise ResourceLimitError(
-            f"phi_{count} at p={p} has degree {top_degree}, over the cap {max_degree}",
-            required=top_degree, budget=max_degree)
+    _check_family_size(p, count)
     solutions = hazewinkel_t_solutions(p, count)
-    polys = tuple(_normalized_t_to_poly(p, n, t) for n, t in enumerate(solutions, start=1))
-    return PhiFamily(p, polys, tuple(_af_value(p, n) for n in range(1, count + 1)))
+    return PhiFamily(p, tuple(_normalized_t_to_poly(p, n, t)
+                              for n, t in enumerate(solutions, start=1)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -343,27 +327,45 @@ class PhiMonomial:
         return self.prime * self.index - alpha_p(self.prime, self.index)
 
 
-def phi_monomial(p: int, k: int, family: PhiFamily) -> PhiMonomial:
-    """The monomial prod_i phi_{i+1}^{k_i} for the base-p digits k_i of k."""
+def digit_products(p: int, factors: Sequence[Poly], count: int) -> list[Poly]:
+    """prod_i factors[i]^(k_i) over the base-p digits k_i of k, for k < count.
+
+    If p^j is the lowest nonzero digit place of k, entry k is entry
+    k - p^j times factors[j]: one multiplication per entry.
+    """
+    products = [Poly.one()] if count > 0 else []
+    for k in range(1, count):
+        j, place = 0, 1
+        while k % (place * p) == 0:
+            j, place = j + 1, place * p
+        products.append(products[k - place] * factors[j])
+    return products
+
+
+def phi_monomials(p: int, count: int, family: PhiFamily) -> list[PhiMonomial]:
+    """The monomials prod_i phi_{i+1}^{k_i} for k < count, from ``digit_products``."""
     require_prime(p)
-    if k < 0:
-        raise ValueError(f"expected a natural index, got {k}")
     if family.prime != p:
         raise ValueError(f"family was built at p={family.prime}, not p={p}")
-    digits = base_p_digits(p, k)
-    product = Poly.one()
-    for i, digit in enumerate(digits):
-        if digit == 0:
-            continue
-        if i + 1 > len(family):
-            raise ValueError(f"index {k} needs phi_{i + 1}, beyond family of size {len(family)}")
-        product = product * family.phi(i + 1) ** digit
-    monomial = PhiMonomial(p, k, digits, product)
-    if k and monomial.poly.degree != monomial.degree:
-        raise InternalConsistencyError(
-            f"phi-monomial {k} at p={p} has degree {monomial.poly.degree}, "
-            f"expected {monomial.degree}")
-    return monomial
+    needed = len(base_p_digits(p, max(count - 1, 0)))
+    if needed > len(family):
+        raise ValueError(f"index {count - 1} needs phi_{needed}, beyond family of size {len(family)}")
+    monomials = []
+    for k, product in enumerate(digit_products(p, family.polys, count)):
+        monomial = PhiMonomial(p, k, base_p_digits(p, k), product)
+        if k and product.degree != monomial.degree:
+            raise InternalConsistencyError(
+                f"phi-monomial {k} at p={p} has degree {product.degree}, "
+                f"expected {monomial.degree}")
+        monomials.append(monomial)
+    return monomials
+
+
+def phi_monomial(p: int, k: int, family: PhiFamily) -> PhiMonomial:
+    """The monomial prod_i phi_{i+1}^{k_i} for the base-p digits k_i of k."""
+    if k < 0:
+        raise ValueError(f"expected a natural index, got {k}")
+    return phi_monomials(p, k + 1, family)[k]
 
 
 def monomial_af(p: int, k: int) -> int:

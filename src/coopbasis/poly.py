@@ -144,9 +144,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def scale(self, factor: Fraction | int) -> "Poly":
-        return self * factor
-
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"polynomial exponent must be a natural number, got {exponent!r}")

@@ -27,7 +27,6 @@ from .poly import Poly
 DEFAULT_RESIDUE_BUDGET = 10_000_000
 
 
-@functools.lru_cache(maxsize=None)
 def binomial_poly(n: int) -> Poly:
     """The binomial coefficient polynomial x(x-1)...(x-n+1)/n!."""
     if n < 0:
@@ -164,3 +163,15 @@ def is_semistable_plocal_residues(p: int, f: Poly,
         if acc:
             return False
     return True
+
+
+def integrality_verdicts(p: int, polys: Iterable[Poly], budget: int) -> list[bool | None]:
+    """Semistability of each polynomial at p; None where the residue test is over budget."""
+    verdicts: list[bool | None] = []
+    for f in polys:
+        try:  # through this module's names, so a wrapper bound to them sees every call
+            verdicts.append(is_semistable_2local(f) if p == 2
+                            else is_semistable_plocal_residues(p, f, budget=budget))
+        except ResourceLimitError:
+            verdicts.append(None)
+    return verdicts

@@ -5,7 +5,8 @@ import pytest
 from coopbasis import (InternalConsistencyError, PhiMonomial, Poly, ResourceLimitError,
                        SymbolicPoly, alpha_p, hazewinkel_t_solutions,
                        is_semistable_2local, is_semistable_plocal_residues,
-                       monomial_af, phi_family, phi_family_oracle, phi_monomial)
+                       monomial_af, phi_family, phi_family_oracle, phi_monomial,
+                       phi_monomials)
 
 
 def test_phi_family_first_members():
@@ -58,7 +59,7 @@ def test_phi_family_degree_budget():
     with pytest.raises(ResourceLimitError):
         phi_family(7, 9)
     with pytest.raises(ResourceLimitError):
-        phi_family(2, 3, max_degree=6)
+        phi_family_oracle(7, 9)
 
 
 @pytest.mark.parametrize("p,count", [(2, 5), (3, 3), (5, 2)])
@@ -101,6 +102,15 @@ def test_phi_monomial_needs_family_members():
         phi_monomial(2, 4, fam)  # needs phi_3
     with pytest.raises(ValueError):
         phi_monomial(3, 1, fam)  # prime mismatch
+
+
+@pytest.mark.parametrize("p,count", [(2, 5), (3, 3), (5, 2)])
+def test_phi_monomials_match_phi_monomial(p, count):
+    fam = phi_family(p, count)
+    monomials = phi_monomials(p, p ** count, fam)
+    assert monomials == [phi_monomial(p, k, fam) for k in range(p ** count)]
+    with pytest.raises(ValueError):
+        phi_monomials(p, p ** count + 1, fam)  # index p^count needs one more phi
 
 
 def test_monomial_degree_law():

@@ -5,8 +5,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopbasis import (GExpansion, Poly, expand_in_g, is_semistable_2local,
-                       is_semistable_plocal_residues)
+from coopbasis import (GExpansion, Poly, base_p_digits, digit_products, expand_in_g,
+                       is_semistable_2local, is_semistable_plocal_residues)
 
 PROPERTY = settings(database=None, derandomize=True, deadline=None)
 
@@ -54,3 +54,15 @@ def test_round_trips(f):
 @given(two_power_polys())
 def test_testers_agree_at_2(f):
     assert is_semistable_2local(f) == is_semistable_plocal_residues(2, f)
+
+
+@PROPERTY
+@given(st.sampled_from((2, 3, 5)), st.lists(integer_polys, min_size=1, max_size=3))
+def test_digit_products_match_the_digit_definition(p, factors):
+    products = digit_products(p, factors, p ** len(factors))
+    assert len(products) == p ** len(factors)
+    for k, product in enumerate(products):
+        expected = Poly.one()
+        for factor, digit in zip(factors, base_p_digits(p, k)):
+            expected = expected * factor ** digit
+        assert product == expected

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from coopbasis import (GExpansion, Poly, ResourceLimitError, binomial_poly, expand_in_g,
-                       g_poly, is_semistable_2local, is_semistable_plocal_residues,
-                       nu_p, phi_family)
+from coopbasis import (DEFAULT_RESIDUE_BUDGET, GExpansion, Poly, ResourceLimitError,
+                       binomial_poly, expand_in_g, g_poly, integrality_verdicts,
+                       is_semistable_2local, is_semistable_plocal_residues, nu_p, phi_family)
 
 
 def test_binomial_poly_examples():
@@ -93,6 +93,15 @@ def test_residue_budget_error_names_required_exponent():
         is_semistable_plocal_residues(3, phi2_p3, budget=100)
     assert excinfo.value.required == 4
     assert excinfo.value.budget == 100
+
+
+def test_integrality_verdicts_name_each_outcome():
+    w = Poly.variable()
+    assert integrality_verdicts(2, [g_poly(3), w * Fraction(1, 2)], 10) == [True, False]
+    fam = phi_family(3, 3, verify_integrality=False)
+    odd = [fam.phi(1), (w * w - 1) * Fraction(1, 9), fam.phi(3)]
+    assert integrality_verdicts(3, odd, DEFAULT_RESIDUE_BUDGET) == [True, False, None]
+    assert integrality_verdicts(3, odd, 10) == [True, None, None]
 
 
 def test_both_testers_agree_at_p2():
