@@ -14,6 +14,15 @@ from typing import Union
 RationalLike = Union[int, Fraction]
 
 
+def exact_rational(value: object) -> Fraction:
+    """value as a Fraction; TypeError unless it is a Fraction or an int other than bool."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise TypeError(f"expected an exact rational, got {value!r}")
+
+
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality check (desk-scale inputs)."""
     if n < 2:
@@ -122,7 +131,7 @@ def _int_valuation(p: int, n: int) -> int:
 def nu_p(p: int, x: RationalLike) -> Valuation:
     """p-adic valuation of a rational; infinite exactly for x = 0."""
     require_prime(p)
-    x = Fraction(x)
+    x = exact_rational(x)
     if x == 0:
         return Valuation.infinite()
     return Valuation(_int_valuation(p, x.numerator) - _int_valuation(p, x.denominator))

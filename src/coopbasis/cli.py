@@ -18,13 +18,13 @@ from fractions import Fraction
 from .arith import base_p_digits, require_prime
 from .errors import (NotSemistableError, PolyParseError, ResourceLimitError,
                      WeightMonotonicityError)
-from .filtration import (checks_to_json, expand_in_phi, verify_congruences, weight)
+from .filtration import CongruenceCheck, checks_to_json, expand_in_phi, verify_congruences, weight
 from .margolis import (complex_to_json, cycle_to_string, enumerate_m1,
                        expected_q0_generator, expected_q1_generator,
                        homologous, is_cycle, margolis_homology,
                        q_square_is_zero)
 from .phi import phi_family, phi_family_oracle, phi_monomials
-from .poly import Poly
+from .poly import DEFAULT_MAX_DEGREE, Poly
 from .semistable import (DEFAULT_RESIDUE_BUDGET, expand_in_g, g_poly, integrality_verdicts,
                          is_semistable_2local, is_semistable_plocal_residues)
 
@@ -107,6 +107,8 @@ def cmd_phi(args: argparse.Namespace) -> int:
 
 
 def cmd_g(args: argparse.Namespace) -> int:
+    if not 0 <= args.n <= DEFAULT_MAX_DEGREE:  # g_n has degree n
+        raise ValueError(f"--n must be in 0..{DEFAULT_MAX_DEGREE}, got {args.n}")
     rows = [
         {"n": n, "degree": n, "coefficients": g_poly(n).to_json(), "text": str(g_poly(n))}
         for n in range(args.n + 1)
@@ -229,10 +231,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks.append({"name": "integrality", "pass": False not in phi_verdicts + k_verdicts,
                    "detail": integrality})
 
-    congruence_json: list[dict] = []
+    congruence_checks: list[CongruenceCheck] = []
     if p == 2:
-        congruence_checks = verify_congruences(args.max_n)
-        congruence_json = checks_to_json(congruence_checks)
+        congruence_checks = verify_congruences(args.max_n, family)
         checks.append({
             "name": "congruence_suite",
             "pass": all(c.passed for c in congruence_checks),
@@ -245,8 +246,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     all_pass = all(c["pass"] for c in checks)
     payload = {"prime": p, "pass": all_pass, "checks": checks}
-    if congruence_json:
-        payload["congruences"] = congruence_json
+    if p == 2:
+        payload["congruences"] = checks_to_json(congruence_checks)
     pretty = [f"[{'PASS' if c['pass'] else 'FAIL'}] {c['name']}" for c in checks]
     pretty.append(f"overall: {'PASS' if all_pass else 'FAIL'}")
     csv_rows: list[list[object]] = [["check", "pass"]]

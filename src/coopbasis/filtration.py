@@ -33,18 +33,17 @@ class WeightReport:
     argmin: tuple[int, ...]
 
 
+def _weigh(expansion: GExpansion) -> WeightReport:
+    """W and its minimizing indices, read from g-coordinates."""
+    terms = {j: nu_p(2, b).value + alpha_p(2, j) - 2 * j for j, b in expansion.items()}
+    best = min(terms.values(), default=None)
+    argmin = tuple(sorted(j for j, t in terms.items() if t == best))
+    return WeightReport(expansion, Valuation(best), argmin)
+
+
 def weight(f: Poly) -> WeightReport:
     """Weight of f via its exact g-expansion; infinite only for f = 0."""
-    expansion = expand_in_g(f)
-    best = Valuation.infinite()
-    per_index: dict[int, int] = {}
-    for j, b in expansion.items():
-        term = nu_p(2, b).value + alpha_p(2, j) - 2 * j
-        per_index[j] = term
-        if term < best:
-            best = Valuation(term)
-    argmin = tuple(sorted(j for j, t in per_index.items() if t == best))
-    return WeightReport(expansion, best, argmin)
+    return _weigh(expand_in_g(f))
 
 
 def weight_value(f: Poly) -> Valuation:
@@ -53,7 +52,7 @@ def weight_value(f: Poly) -> Valuation:
 
 def congruent_mod_higher_af(a: Poly, b: Poly) -> bool:
     """True iff a and b agree modulo higher filtration (in the W sense)."""
-    return _check_pair("", 0, a, b).passed
+    return _check_pair("", 0, expand_in_g(a), expand_in_g(b)).passed
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,16 +71,20 @@ def _as_optional_int(v: Valuation) -> int | None:
     return None if v.is_infinite else v.value
 
 
-def _check_pair(claim: str, n: int, lhs: Poly, rhs: Poly) -> CongruenceCheck:
-    w_lhs = weight_value(lhs)
-    w_rhs = weight_value(rhs)
-    diff = Valuation.infinite() if lhs == rhs else weight_value(lhs - rhs)
+def _check_pair(claim: str, n: int, lhs: GExpansion, rhs: GExpansion) -> CongruenceCheck:
+    w_lhs = _weigh(lhs).weight
+    w_rhs = _weigh(rhs).weight
+    diff = _weigh(GExpansion({j: lhs[j] - rhs[j] for j in {*lhs.support, *rhs.support}})).weight
     passed = lhs == rhs or (w_lhs == w_rhs and diff > w_lhs)
     return CongruenceCheck(claim, n, _as_optional_int(w_lhs),
                            _as_optional_int(w_rhs), _as_optional_int(diff), passed)
 
 
-def verify_congruences(max_n: int) -> list[CongruenceCheck]:
+def _scaled(expansion: GExpansion, factor: Fraction) -> GExpansion:
+    return GExpansion({j: b * factor for j, b in expansion.items()})
+
+
+def verify_congruences(max_n: int, family: PhiFamily) -> list[CongruenceCheck]:
     """Check the six weight congruences relating the g- and phi-families.
 
     For each applicable n <= max_n, compares (modulo higher weight):
@@ -93,41 +96,47 @@ def verify_congruences(max_n: int) -> list[CongruenceCheck]:
       g_vs_g_digit_product    g_n              vs  prod_i g_(2^i)^(n_i)
       g_vs_phi_monomial       g_n              vs  prod_i phi_(i+1)^(n_i)
 
-    where n = sum n_i 2^i is the binary expansion.  Failures are reported,
-    not raised.
+    where n = sum n_i 2^i is the binary expansion; max_n = 0 gives no checks.
+    ``family`` must hold phi_1..phi_(max_n.bit_length()) at p = 2, and the
+    caller tests its integrality.  Each polynomial is expanded in the g-basis
+    once: ``expand_in_g`` is linear, so W(lhs - rhs) is read from the
+    difference of the two coordinate vectors.  Failures are reported, not raised.
     """
-    if max_n < 1:
-        raise ValueError(f"expected max_n >= 1, got {max_n}")
+    if max_n < 0:
+        raise ValueError(f"expected max_n >= 0, got {max_n}")
     top = max_n.bit_length()
-    fam = phi_family(2, top)
-    phi1_powers = [Poly.one()]  # phi_1^0 .. phi_1^max_n; 2^(top-1) <= max_n
+    phi = [expand_in_g(family.phi(n)) for n in range(1, top + 1)]
+    g = [expand_in_g(g_poly(n)) for n in range(max_n + 1)]
+    power = Poly.one()
+    phi1_powers = [expand_in_g(power)]  # phi_1^0 .. phi_1^max_n; 2^(top-1) <= max_n
     for _ in range(max_n):
-        phi1_powers.append(phi1_powers[-1] * fam.phi(1))
+        power = power * family.phi(1)
+        phi1_powers.append(expand_in_g(power))
     checks: list[CongruenceCheck] = []
 
     for n in range(1, top + 1):
         half = 1 << (n - 1)
-        rhs = phi1_powers[half] * Fraction(1, 1 << (half - 1))
-        checks.append(_check_pair("phi_vs_phi1_power", n, fam.phi(n), rhs))
+        rhs = _scaled(phi1_powers[half], Fraction(1, 1 << (half - 1)))
+        checks.append(_check_pair("phi_vs_phi1_power", n, phi[n - 1], rhs))
 
     for n in range(1, max_n + 1):
-        rhs = phi1_powers[n] * Fraction(1, math.factorial(n))
-        checks.append(_check_pair("g_vs_phi1_over_factorial", n, g_poly(n), rhs))
+        rhs = _scaled(phi1_powers[n], Fraction(1, math.factorial(n)))
+        checks.append(_check_pair("g_vs_phi1_over_factorial", n, g[n], rhs))
 
     for n in range(1, max_n + 1):
-        rhs = phi1_powers[n] * Fraction(1, 1 << (n - alpha_p(2, n)))
-        checks.append(_check_pair("g_vs_phi1_over_power2", n, g_poly(n), rhs))
+        rhs = _scaled(phi1_powers[n], Fraction(1, 1 << (n - alpha_p(2, n))))
+        checks.append(_check_pair("g_vs_phi1_over_power2", n, g[n], rhs))
 
     for j in range(top):
-        checks.append(_check_pair("g_power2_vs_phi", 1 << j, g_poly(1 << j), fam.phi(j + 1)))
+        checks.append(_check_pair("g_power2_vs_phi", 1 << j, g[1 << j], phi[j]))
 
     g_products = digit_products(2, [g_poly(1 << i) for i in range(top)], max_n + 1)
-    for n in range(1, max_n + 1):
-        checks.append(_check_pair("g_vs_g_digit_product", n, g_poly(n), g_products[n]))
+    for n, product in enumerate(g_products[1:], start=1):
+        checks.append(_check_pair("g_vs_g_digit_product", n, g[n], expand_in_g(product)))
 
-    monomials = phi_monomials(2, max_n + 1, fam)
-    for n in range(1, max_n + 1):
-        checks.append(_check_pair("g_vs_phi_monomial", n, g_poly(n), monomials[n].poly))
+    monomials = phi_monomials(2, max_n + 1, family)
+    for n, monomial in enumerate(monomials[1:], start=1):
+        checks.append(_check_pair("g_vs_phi_monomial", n, g[n], expand_in_g(monomial.poly)))
 
     return checks
 
@@ -193,7 +202,8 @@ def expand_in_phi(f: Poly, precision: int) -> PhiExpansion:
     """
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
-    offending = tuple((j, b, nu_p(2, b).value) for j, b in expand_in_g(f).items()
+    expansion = expand_in_g(f)
+    offending = tuple((j, b, nu_p(2, b).value) for j, b in expansion.items()
                       if nu_p(2, b) < 0)
     if offending:
         raise NotSemistableError(
@@ -207,7 +217,7 @@ def expand_in_phi(f: Poly, precision: int) -> PhiExpansion:
     trace: list[TraceStep] = []
     previous: Valuation | None = None
     while True:
-        report = weight(residual)
+        report = _weigh(expansion)
         if previous is not None and report.weight <= previous:
             raise WeightMonotonicityError(
                 f"weight stalled at {report.weight} (previous {previous}) after "
@@ -225,6 +235,7 @@ def expand_in_phi(f: Poly, precision: int) -> PhiExpansion:
             exact[j] = exact.get(j, Fraction(0)) + b
             step_coeffs.append((j, b))
         trace.append(TraceStep(report.weight.value, report.argmin, tuple(step_coeffs)))
+        expansion = expand_in_g(residual)
 
     modulus = 2 ** precision
     reduced: dict[int, int] = {}

@@ -26,20 +26,12 @@ import dataclasses
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .arith import alpha_p, base_p_digits, require_prime
+from .arith import alpha_p, base_p_digits, exact_rational, require_prime
 from .errors import InternalConsistencyError, ResourceLimitError
 from .poly import DEFAULT_MAX_DEGREE, Poly
 from .semistable import DEFAULT_RESIDUE_BUDGET, integrality_verdicts
 
 Monomial = tuple[tuple[str, int], ...]
-
-
-def _coerce_scalar(value: object) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational scalar, got {value!r}")
 
 
 class SymbolicPoly:
@@ -61,7 +53,7 @@ class SymbolicPoly:
 
     @classmethod
     def constant(cls, value: Fraction | int) -> "SymbolicPoly":
-        value = _coerce_scalar(value)
+        value = exact_rational(value)
         return cls({(): value} if value else {})
 
     @classmethod
@@ -117,7 +109,7 @@ class SymbolicPoly:
 
     def __mul__(self, other: "SymbolicPoly | Fraction | int") -> "SymbolicPoly":
         if not isinstance(other, SymbolicPoly):
-            factor = _coerce_scalar(other)
+            factor = exact_rational(other)
             return SymbolicPoly({m: c * factor for m, c in self._terms.items()})
         out: dict[Monomial, Fraction] = {}
         for ma, ca in self._terms.items():

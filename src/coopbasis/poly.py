@@ -7,18 +7,10 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .arith import Valuation, nu_p
+from .arith import Valuation, exact_rational, nu_p
 from .errors import PolyParseError
 
 DEFAULT_MAX_DEGREE = 1_000_000
-
-
-def _coerce(value: object) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise TypeError(f"polynomial coefficients must be exact rationals, got {value!r}")
 
 
 class Poly:
@@ -31,7 +23,7 @@ class Poly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Iterable[Fraction | int] = ()) -> None:
-        coeffs = [_coerce(c) for c in coefficients]
+        coeffs = [exact_rational(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self._coeffs = tuple(coeffs)
@@ -129,7 +121,7 @@ class Poly:
 
     def __mul__(self, other: "Poly | Fraction | int") -> "Poly":
         if not isinstance(other, Poly):
-            factor = _coerce(other)
+            factor = exact_rational(other)
             return Poly(tuple(c * factor for c in self._coeffs))
         if self.is_zero() or other.is_zero():
             return Poly.zero()
@@ -162,7 +154,7 @@ class Poly:
 
     def evaluate(self, x: Fraction | int) -> Fraction:
         """Exact Horner evaluation."""
-        x = _coerce(x)
+        x = exact_rational(x)
         acc = Fraction(0)
         for c in reversed(self._coeffs):
             acc = acc * x + c

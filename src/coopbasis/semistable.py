@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .arith import nu_p, require_prime
+from .arith import exact_rational, nu_p, require_prime
 from .errors import ResourceLimitError
 from .poly import Poly
 
@@ -55,13 +55,8 @@ class GExpansion:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Mapping[int, Fraction | int] | Iterable[tuple[int, Fraction | int]] = ()) -> None:
-        raw = dict(coefficients)
-        items = {}
-        for j, c in raw.items():
-            c = Fraction(c)
-            if c != 0:
-                items[int(j)] = c
-        self._coeffs = dict(sorted(items.items()))
+        items = ((int(j), exact_rational(c)) for j, c in dict(coefficients).items())
+        self._coeffs = dict(sorted((j, c) for j, c in items if c))
 
     def __getitem__(self, index: int) -> Fraction:
         return self._coeffs.get(index, Fraction(0))

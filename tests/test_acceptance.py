@@ -74,7 +74,7 @@ def test_criterion_03_integrality():
 
 def test_criterion_04_congruence_suite():
     start = time.monotonic()
-    checks = verify_congruences(16)
+    checks = verify_congruences(16, FAM6)
     ok = all(c.passed for c in checks)
     witness = next(c for c in checks if c.claim == "g_vs_phi_monomial" and c.n == 2)
     ok = ok and witness.weight_lhs == -3 and witness.weight_rhs == -3

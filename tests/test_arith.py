@@ -4,14 +4,28 @@ from fractions import Fraction
 
 import pytest
 
-from coopbasis import (Valuation, alpha_p, base_p_digits, is_p_local_integer,
-                       is_prime, legendre_valuation_factorial, nu_p)
+from coopbasis import (GExpansion, Poly, SymbolicPoly, Valuation, alpha_p, base_p_digits,
+                       is_p_local_integer, is_prime, legendre_valuation_factorial, nu_p)
 
 
 def test_nu_p_examples():
     assert nu_p(2, 24) == 3
     assert nu_p(2, 0).is_infinite
     assert nu_p(3, Fraction(28, 9)) == -2
+
+
+@pytest.mark.parametrize("inexact", [0.5, 0.1, True])
+@pytest.mark.parametrize("use", [
+    lambda x: Poly((1, x)),
+    lambda x: Poly.one() * x,
+    lambda x: SymbolicPoly.constant(x),
+    lambda x: SymbolicPoly.variable("v1") * x,
+    lambda x: nu_p(2, x),
+    lambda x: GExpansion({1: x}),
+])
+def test_inexact_scalars_are_rejected(use, inexact):
+    with pytest.raises(TypeError):
+        use(inexact)
 
 
 def test_nu_p_rejects_non_primes():

@@ -1,8 +1,10 @@
+import collections
 import json
 
 import pytest
 
-from coopbasis import GExpansion, Poly, expand_in_g, phi_family
+from coopbasis import DEFAULT_MAX_DEGREE, GExpansion, Poly, expand_in_g, phi_family
+from coopbasis import cli, filtration, phi, semistable
 from coopbasis.cli import main
 
 
@@ -215,3 +217,62 @@ def test_csv_not_available_for_expand(capsys):
     code, _, err = run(capsys, "expand", "--basis", "g", "w^2", "--format", "csv")
     assert code == 2
     assert "csv" in err
+
+
+@pytest.mark.parametrize("prime", ["2", "3"])
+def test_verify_max_n_bounds_mean_the_same_at_every_prime(capsys, prime):
+    code, out, _ = run(capsys, "verify", "--prime", prime, "--max-n", "0", "--max-k", "2",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pass"] is True
+    assert payload.get("congruences", []) == []
+    code, _, err = run(capsys, "verify", "--prime", prime, "--max-n", "-1", "--max-k", "2")
+    assert code == 2
+    assert "natural number" in err
+
+
+@pytest.mark.parametrize("n", [-1, DEFAULT_MAX_DEGREE + 1])
+def test_g_rejects_an_index_out_of_range(capsys, n):
+    code, out, err = run(capsys, "g", "--n", str(n), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_verify_builds_each_object_once(capsys, monkeypatch):
+    calls = collections.Counter()
+    inside_suite = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if inside_suite:
+                calls[f"suite.{name}"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def suite(*args, **kwargs):
+        inside_suite.append(True)
+        try:
+            return filtration.verify_congruences(*args, **kwargs)
+        finally:
+            inside_suite.pop()
+
+    build_family, expand = phi.phi_family, semistable.expand_in_g
+    for module in (cli, filtration, phi):  # every module that binds the name
+        monkeypatch.setattr(module, "phi_family", counted("phi_family", build_family))
+    for module in (filtration, semistable):
+        monkeypatch.setattr(module, "expand_in_g", counted("expand_in_g", expand))
+    monkeypatch.setattr(filtration, "weight", counted("weight", filtration.weight))
+    monkeypatch.setattr(Poly, "__sub__", counted("sub", Poly.__sub__))
+    monkeypatch.setattr(Poly, "__rsub__", counted("sub", Poly.__rsub__))
+    monkeypatch.setattr(cli, "verify_congruences", suite)
+
+    code, _, _ = run(capsys, "verify", "--prime", "2", "--max-n", "48", "--max-k", "12",
+                     "--format", "json")
+    assert code == 0
+    assert calls["phi_family"] == 1
+    assert calls["expand_in_g"] <= 225
+    assert calls["suite.weight"] == 0
+    assert calls["suite.sub"] == 0

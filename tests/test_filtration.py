@@ -1,14 +1,15 @@
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from coopbasis import (NotSemistableError, Poly, alpha_p, congruent_mod_higher_af,
-                       expand_in_g, expand_in_phi, g_poly, monomial_af, nu_p,
-                       phi_family, phi_monomial, verify_congruences, weight,
-                       weight_value)
+from coopbasis import (NotSemistableError, Poly, alpha_p, base_p_digits,
+                       congruent_mod_higher_af, expand_in_g, expand_in_phi, g_poly,
+                       monomial_af, nu_p, phi_family, phi_monomial, verify_congruences,
+                       weight, weight_value)
 
 DATA = Path(__file__).parent / "data"
 
@@ -71,9 +72,9 @@ def test_congruence_examples():
 
 
 def test_verify_congruences_trivial_and_witnessed():
-    assert all(c.passed for c in verify_congruences(1))
+    assert all(c.passed for c in verify_congruences(1, FAM))
 
-    checks = verify_congruences(2)
+    checks = verify_congruences(2, FAM)
     witness = next(c for c in checks if c.claim == "g_vs_phi_monomial" and c.n == 2)
     assert witness.passed
     assert witness.weight_lhs == witness.weight_rhs == -3
@@ -81,13 +82,57 @@ def test_verify_congruences_trivial_and_witnessed():
 
 
 def test_verify_congruences_all_claims_to_16():
-    checks = verify_congruences(16)
+    checks = verify_congruences(16, FAM)
     assert len(checks) == 74
     assert all(c.passed for c in checks)
     claims = {c.claim for c in checks}
     assert claims == {"phi_vs_phi1_power", "g_vs_phi1_over_factorial",
                       "g_vs_phi1_over_power2", "g_power2_vs_phi",
                       "g_vs_g_digit_product", "g_vs_phi_monomial"}
+
+
+def _digit_product(factor, n):
+    """prod_i factor(i)^(n_i) over the binary digits n_i of n."""
+    product = Poly.one()
+    for i, digit in enumerate(base_p_digits(2, n)):
+        product = product * factor(i) ** digit
+    return product
+
+
+def test_verify_congruences_weights_match_the_polynomial_path():
+    max_n = 20
+    phi1 = FAM.phi(1)
+    pairs = {}
+    for n in range(1, max_n.bit_length() + 1):
+        half = 2 ** (n - 1)
+        pairs["phi_vs_phi1_power", n] = (FAM.phi(n), phi1 ** half * Fraction(1, 2 ** (half - 1)))
+    for j in range(max_n.bit_length()):
+        pairs["g_power2_vs_phi", 2 ** j] = (g_poly(2 ** j), FAM.phi(j + 1))
+    for n in range(1, max_n + 1):
+        power = phi1 ** n
+        pairs["g_vs_phi1_over_factorial", n] = (g_poly(n), power * Fraction(1, math.factorial(n)))
+        pairs["g_vs_phi1_over_power2", n] = (g_poly(n),
+                                             power * Fraction(1, 2 ** (n - alpha_p(2, n))))
+        pairs["g_vs_g_digit_product", n] = (g_poly(n), _digit_product(lambda i: g_poly(2 ** i), n))
+        pairs["g_vs_phi_monomial", n] = (g_poly(n), _digit_product(lambda i: FAM.phi(i + 1), n))
+
+    checks = verify_congruences(max_n, FAM)
+    assert sorted((c.claim, c.n) for c in checks) == sorted(pairs)
+    for check in checks:
+        lhs, rhs = pairs[check.claim, check.n]
+        w_lhs, w_rhs, w_diff = weight_value(lhs), weight_value(rhs), weight_value(lhs - rhs)
+        assert check.weight_lhs == w_lhs.value
+        assert check.weight_rhs == w_rhs.value
+        assert check.weight_diff == (None if w_diff.is_infinite else w_diff.value)
+        assert check.passed == (lhs == rhs or (w_lhs == w_rhs and w_diff > w_lhs))
+
+
+def test_verify_congruences_bounds():
+    assert verify_congruences(0, FAM) == []
+    with pytest.raises(ValueError):
+        verify_congruences(-1, FAM)
+    with pytest.raises(ValueError):
+        verify_congruences(4, phi_family(3, 3))
 
 
 def test_expand_in_phi_basis_element():
