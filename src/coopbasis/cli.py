@@ -13,7 +13,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .arith import base_p_digits, require_prime
 from .errors import (NotSemistableError, PolyParseError, ResourceLimitError,
@@ -335,10 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     except WeightMonotonicityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH_FAILURE
-    except (PolyParseError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (ResourceLimitError, ValueError) as exc:  # PolyParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -161,18 +161,16 @@ class PhiExpansion:
     ``coeffs`` holds canonical representatives in [0, 2^precision); the exact
     accumulated rationals are kept in ``exact_coeffs`` together with the exact
     ``residual`` so that f = sum exact_coeffs[k]*m_k + residual holds on the
-    nose and callers can resume at higher precision.
+    nose and callers can resume at higher precision.  ``residual_weight`` is
+    W(residual), from the weighing that ended the expansion.
     """
 
     precision: int
     coeffs: dict[int, int]
     exact_coeffs: dict[int, Fraction]
     residual: Poly
+    residual_weight: Valuation
     trace: tuple[TraceStep, ...]
-
-    @property
-    def residual_weight(self) -> Valuation:
-        return weight_value(self.residual)
 
     def to_json(self) -> dict:
         return {
@@ -244,4 +242,4 @@ def expand_in_phi(f: Poly, precision: int) -> PhiExpansion:
         if representative:
             reduced[k] = representative
     exact_nonzero = {k: c for k, c in exact.items() if c != 0}
-    return PhiExpansion(precision, reduced, exact_nonzero, residual, tuple(trace))
+    return PhiExpansion(precision, reduced, exact_nonzero, residual, report.weight, tuple(trace))

@@ -23,7 +23,7 @@ import dataclasses
 import itertools
 from typing import Iterable, Mapping
 
-from .arith import alpha_p, base_p_digits, require_prime
+from .arith import base_p_digits, legendre_valuation_factorial, require_prime
 from .errors import InternalConsistencyError, ResourceLimitError
 from .semistable import DEFAULT_RESIDUE_BUDGET
 
@@ -397,14 +397,8 @@ def q_square_is_zero(complex_: M1Complex, i: int) -> bool:
 
 
 def cover_rank(p: int, k: int) -> int:
-    """Number of Adams covers attached to the weight piece: (k - alpha_p(k))/(p-1)."""
-    require_prime(p)
-    if k < 0:
-        raise ValueError(f"expected a natural weight index, got {k}")
-    quotient, remainder = divmod(k - alpha_p(p, k), p - 1)
-    if remainder:
-        raise ArithmeticError(f"(k - alpha_p(k)) not divisible by p-1 for k={k}, p={p}")
-    return quotient
+    """Number of Adams covers attached to the weight piece: nu_p(k!) = (k - alpha_p(k))/(p-1)."""
+    return legendre_valuation_factorial(p, k)
 
 
 def expected_q0_generator(p: int, k: int) -> SteenrodMonomial:

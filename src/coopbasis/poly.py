@@ -1,4 +1,4 @@
-"""Exact dense univariate polynomials over Fraction in the coordinate w."""
+"""Exact dense univariate rational polynomials in the coordinate w."""
 
 from __future__ import annotations
 
@@ -14,19 +14,24 @@ DEFAULT_MAX_DEGREE = 1_000_000
 
 
 class Poly:
-    """Immutable dense polynomial; coefficient i belongs to w^i.
+    """Immutable dense polynomial sum(nums[i] * w^i) / den in the coordinate w.
 
-    Trailing zero coefficients are trimmed, so the zero polynomial stores
-    nothing and reports degree -1.
+    Integer numerators over one denominator, in canonical form: trailing zeros
+    trimmed, den >= 1 and gcd(den, *nums) == 1, so equal polynomials store
+    equal pairs.  The zero polynomial is ((), 1) and has degree -1.  Ring
+    operations work on the integers; ``Fraction`` coefficients are built only
+    when they are read.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coefficients: Iterable[Fraction | int] = ()) -> None:
         coeffs = [exact_rational(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        self._coeffs = tuple(coeffs)
+        # the lcm of reduced denominators leaves gcd(den, *nums) == 1
+        self._den = math.lcm(*(c.denominator for c in coeffs))
+        self._nums = tuple(c.numerator * (self._den // c.denominator) for c in coeffs)
 
     # ---- constructors -------------------------------------------------
 
@@ -56,60 +61,60 @@ class Poly:
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple(Fraction(n, self._den) for n in self._nums)
 
     @property
     def degree(self) -> int:
         """Degree in w; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._nums
 
     def coefficient(self, exponent: int) -> Fraction:
-        if 0 <= exponent < len(self._coeffs):
-            return self._coeffs[exponent]
+        if 0 <= exponent < len(self._nums):
+            return Fraction(self._nums[exponent], self._den)
         return Fraction(0)
 
     def as_integer_ratio(self) -> tuple[tuple[int, ...], int]:
-        """Integer numerators over their least common denominator.
+        """The stored integer numerators over their least common denominator.
 
         Returns ``(nums, den)`` with ``self == sum(nums[i] * w^i) / den``
         and ``den >= 1`` minimal; ``((), 1)`` for the zero polynomial.
         """
-        den = math.lcm(*(c.denominator for c in self._coeffs))
-        return tuple(c.numerator * (den // c.denominator) for c in self._coeffs), den
+        return self._nums, self._den
 
     def __iter__(self) -> Iterator[Fraction]:
-        return iter(self._coeffs)
+        return iter(self.coefficients)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
-            return self._coeffs == other._coeffs
+            return self._den == other._den and self._nums == other._nums
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self == Poly.constant(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._nums, self._den))
 
     # ---- ring operations ----------------------------------------------
 
     def __add__(self, other: "Poly | Fraction | int") -> "Poly":
         if not isinstance(other, Poly):
             other = Poly.constant(other)
-        a, b = self._coeffs, other._coeffs
+        den = math.lcm(self._den, other._den)
+        a = [n * (den // self._den) for n in self._nums]
+        b = [n * (den // other._den) for n in other._nums]
         if len(a) < len(b):
             a, b = b, a
-        summed = list(a)
-        for i, c in enumerate(b):
-            summed[i] += c
-        return Poly(summed)
+        for i, n in enumerate(b):
+            a[i] += n
+        return _reduced(a, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self._coeffs))
+        return _reduced([-n for n in self._nums], self._den)
 
     def __sub__(self, other: "Poly | Fraction | int") -> "Poly":
         if not isinstance(other, Poly):
@@ -122,17 +127,17 @@ class Poly:
     def __mul__(self, other: "Poly | Fraction | int") -> "Poly":
         if not isinstance(other, Poly):
             factor = exact_rational(other)
-            return Poly(tuple(c * factor for c in self._coeffs))
+            return _reduced([n * factor.numerator for n in self._nums],
+                            self._den * factor.denominator)
         if self.is_zero() or other.is_zero():
             return Poly.zero()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._coeffs):
-                if b:
+        out = [0] * (len(self._nums) + len(other._nums) - 1)
+        terms = [(j, b) for j, b in enumerate(other._nums) if b]
+        for i, a in enumerate(self._nums):
+            if a:
+                for j, b in terms:
                     out[i + j] += a * b
-        return Poly(out)
+        return _reduced(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -153,49 +158,44 @@ class Poly:
     # ---- evaluation and substitution ----------------------------------
 
     def evaluate(self, x: Fraction | int) -> Fraction:
-        """Exact Horner evaluation."""
-        x = exact_rational(x)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact Horner evaluation: f(a/b) = sum(nums[i] * a^i * b^(d-i)) / (b^d * den)."""
+        a, b = exact_rational(x).as_integer_ratio()
+        acc, scale = 0, 1
+        for n in reversed(self._nums):  # scale = b^(number of coefficients read)
+            acc, scale = acc * a + n * scale, scale * b
+        return Fraction(acc * b, scale * self._den)
 
     def substitute_affine(self, a: Fraction | int, b: Fraction | int) -> "Poly":
         """Return f(a*w + b), exactly (Horner over the polynomial ring)."""
         inner = Poly((b, a))
         acc = Poly.zero()
-        for c in reversed(self._coeffs):
+        for c in reversed(self.coefficients):
             acc = acc * inner + c
         return acc
 
     def min_coeff_valuation(self, p: int) -> Valuation:
-        """Minimum of nu_p over all coefficients; infinite for the zero polynomial."""
-        best = Valuation.infinite()
-        for c in self._coeffs:
-            v = nu_p(p, c)
-            if v < best:
-                best = v
-        return best
+        """Minimum of nu_p over all coefficients, nu_p(gcd(nums) / den); infinite for 0."""
+        return nu_p(p, Fraction(math.gcd(*self._nums), self._den))
 
     # ---- serialization --------------------------------------------------
 
     def to_json(self) -> list[str]:
         """Coefficient list as exact "num/den" strings, index = degree."""
-        return [str(c) for c in self._coeffs]
+        return [str(c) for c in self.coefficients]
 
     @classmethod
     def from_json(cls, data: Iterable[str]) -> "Poly":
-        return cls(tuple(Fraction(s) for s in data))
+        """Inverse of ``to_json``; a value that is not a string must be an exact rational."""
+        return cls(Fraction(s) if isinstance(s, str) else s for s in data)
 
     def __repr__(self) -> str:
-        return f"Poly({list(self._coeffs)!r})"
+        return f"Poly({list(self.coefficients)!r})"
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._nums:
             return "0"
-        nums, den = self.as_integer_ratio()
-        body = _render_integer_poly(nums)
-        return body if den == 1 else f"({body})/{den}"
+        body = _render_integer_poly(self._nums)
+        return body if self._den == 1 else f"({body})/{self._den}"
 
     # ---- parsing --------------------------------------------------------
 
@@ -203,6 +203,16 @@ class Poly:
     def parse(cls, text: str) -> "Poly":
         """Parse ``3/8*w^2 - w + 1`` style expressions (also parenthesized)."""
         return _Parser(text).parse()
+
+
+def _reduced(nums: list[int], den: int) -> Poly:
+    """The canonical Poly sum(nums[i] * w^i) / den, for den >= 1."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = math.gcd(den, *nums)
+    poly = object.__new__(Poly)
+    poly._nums, poly._den = tuple(nums) if g == 1 else tuple(n // g for n in nums), den // g
+    return poly
 
 
 def _render_integer_poly(coeffs: tuple[int, ...]) -> str:

@@ -46,7 +46,7 @@ def g_poly(n: int) -> Poly:
     for i in range(1, n + 1):
         nums = [a - (2 * i - 1) * b for a, b in zip([0] + nums, nums + [0])]
     den = 2 ** n * math.factorial(n)
-    return Poly(Fraction(c, den) for c in nums)
+    return Poly(nums) * Fraction(1, den)
 
 
 class GExpansion:
@@ -93,7 +93,8 @@ class GExpansion:
 
     @classmethod
     def from_json(cls, data: Mapping[str, str]) -> "GExpansion":
-        return cls({int(j): Fraction(c) for j, c in data.items()})
+        """Inverse of ``to_json``; a value that is not a string must be an exact rational."""
+        return cls({int(j): Fraction(c) if isinstance(c, str) else c for j, c in data.items()})
 
 
 def expand_in_g(f: Poly) -> GExpansion:

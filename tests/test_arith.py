@@ -22,6 +22,8 @@ def test_nu_p_examples():
     lambda x: SymbolicPoly.variable("v1") * x,
     lambda x: nu_p(2, x),
     lambda x: GExpansion({1: x}),
+    lambda x: Poly.from_json(["1", x]),
+    lambda x: GExpansion.from_json({"1": x}),
 ])
 def test_inexact_scalars_are_rejected(use, inexact):
     with pytest.raises(TypeError):

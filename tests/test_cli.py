@@ -97,6 +97,10 @@ def test_expand_parse_error(capsys):
     assert code == 2
     assert "degree cap" in err
 
+    code, _, err = run(capsys, "expand", "--basis", "g", "[0.1]")
+    assert code == 2
+    assert "bad coefficient list" in err
+
 
 def test_expand_accepts_coefficient_list(capsys):
     code, out, _ = run(capsys, "expand", "--basis", "g", "[\"0\", \"0\", \"1\"]",
@@ -120,6 +124,10 @@ def test_check_integrality_exit_codes(capsys):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["method"] == "residues"
+
+    code, out, _ = run(capsys, "check-integrality", "--prime", "2", "[0.5]")
+    assert code == 2
+    assert out == ""
 
 
 def test_weight_report(capsys):

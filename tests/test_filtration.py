@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from coopbasis import filtration
 from coopbasis import (NotSemistableError, Poly, alpha_p, base_p_digits,
                        congruent_mod_higher_af, expand_in_g, expand_in_phi, g_poly,
                        monomial_af, nu_p, phi_family, phi_monomial, verify_congruences,
@@ -180,6 +181,22 @@ def test_expand_in_phi_g2_low_precision():
     expansion = expand_in_phi(g_poly(2), 1)
     assert expansion.coeffs == {2: 1}
     assert expansion.residual_weight >= 1
+
+
+def test_expand_in_phi_stores_the_residual_weight(monkeypatch):
+    calls = []
+    expand = filtration.expand_in_g
+
+    def spy(f):
+        calls.append(f)
+        return expand(f)
+
+    monkeypatch.setattr(filtration, "expand_in_g", spy)
+    expansion = expand_in_phi(Poly.parse("((w-1)/2)^2"), 8)
+    calls.clear()
+    first, second = expansion.residual_weight, expansion.residual_weight
+    assert calls == []
+    assert first == second == weight_value(expansion.residual)
 
 
 def test_expand_in_phi_rejects_bad_input():

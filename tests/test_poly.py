@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from coopbasis import Poly, PolyParseError
+from coopbasis import Poly, PolyParseError, poly as poly_module
 
 
 def poly(*coeffs):
@@ -34,6 +34,27 @@ def test_pow_examples():
     assert half ** 2 == poly(Fraction(1, 4), Fraction(-1, 2), Fraction(1, 4))
     with pytest.raises(ValueError):
         f ** -1
+
+
+def test_ring_operations_build_no_fraction(monkeypatch):
+    f = poly(Fraction(-3, 8), 0, Fraction(5, 6), 2)
+    g = poly(Fraction(1, 4), Fraction(-7, 9))
+    scalar = Fraction(-2, 3)
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(poly_module, "Fraction", CountingFraction)
+    results = [f + g, g + f, f - g, g - f, -f, f * g, f * scalar, g * 3, f ** 3, g ** 0]
+    assert built == []
+    for result in results:
+        nums, den = result.as_integer_ratio()
+        assert type(den) is int and all(type(n) is int for n in nums)
+    assert results[5] == poly(Fraction(-3, 32), Fraction(7, 24), Fraction(5, 24),
+                              Fraction(-4, 27), Fraction(-14, 9))
 
 
 def test_evaluate_examples():

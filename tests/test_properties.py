@@ -1,12 +1,13 @@
 """Property tests: ring laws, serialization round trips, tester agreement."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopbasis import (GExpansion, Poly, base_p_digits, digit_products, expand_in_g,
-                       is_semistable_2local, is_semistable_plocal_residues)
+from coopbasis import (GExpansion, Poly, Valuation, base_p_digits, digit_products, expand_in_g,
+                       is_semistable_2local, is_semistable_plocal_residues, nu_p)
 
 PROPERTY = settings(database=None, derandomize=True, deadline=None)
 
@@ -38,6 +39,58 @@ def test_ring_laws(f, g, h):
     assert f * Poly.one() == f
     assert (f - f).is_zero()
     assert (f * g).degree == (-1 if f.is_zero() or g.is_zero() else f.degree + g.degree)
+
+
+def _trimmed(coeffs):
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _schoolbook_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    summed = list(a)
+    for i, c in enumerate(b):
+        summed[i] += c
+    return _trimmed(summed)
+
+
+def _schoolbook_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trimmed(out)
+
+
+@PROPERTY
+@given(polys, polys, polys, rationals, st.integers(0, 4))
+def test_ring_operations_match_the_fraction_schoolbook(f, g, h, c, e):
+    # reference: per-coefficient Fraction arithmetic, which shares nothing with Poly's integer pairs
+    a, b = f.coefficients, g.coefficients
+    negated_b = tuple(-y for y in b)
+    power = (Fraction(1),)
+    for _ in range(e):
+        power = _schoolbook_mul(power, a)
+    expected = {
+        "+": (f + g, _schoolbook_add(a, b)),
+        "-": (f - g, _schoolbook_add(a, negated_b)),
+        "neg": (-g, negated_b),
+        "*": (f * g, _schoolbook_mul(a, b)),
+        "scalar": (f * c, _trimmed([x * c for x in a])),
+        "**": (f ** e, power),
+    }
+    for op, (result, reference) in expected.items():
+        assert result.coefficients == reference, op
+        nums, den = result.as_integer_ratio()
+        assert den >= 1 and (not nums or nums[-1] != 0) and math.gcd(den, *nums) == 1, op
+        assert Poly(reference) == result and hash(Poly(reference)) == hash(result), op
+    assert hash(f * (g + h)) == hash(f * g + f * h)
+    for p in (2, 3, 5):
+        assert f.min_coeff_valuation(p) == min((nu_p(p, x) for x in a), default=Valuation.infinite())
 
 
 @PROPERTY
