@@ -28,6 +28,9 @@ from .errors import InternalConsistencyError, ResourceLimitError
 from .semistable import DEFAULT_RESIDUE_BUDGET
 
 Cycle = tuple[tuple["SteenrodMonomial", int], ...]
+Zeta = tuple[tuple[int, int], ...]
+Key = tuple[Zeta, tuple[int, ...]]  # the (zeta, tau) a SteenrodMonomial stores
+Generator = tuple[bool, int, int, int]  # (exterior, index, exponent step, weight per step)
 
 
 class SteenrodMonomial:
@@ -98,41 +101,34 @@ class SteenrodMonomial:
         return f"SteenrodMonomial(p={self.prime}, {self})"
 
 
-def _add_term(acc: dict[SteenrodMonomial, int], target: SteenrodMonomial,
-              coeff: int, p: int) -> None:
-    """acc[target] += coeff over F_p, dropping the entry when it cancels."""
-    total = (acc.get(target, 0) + coeff) % p
-    if total:
-        acc[target] = total
+def _q_image(p: int, i: int, zeta: Zeta, tau: tuple[int, ...]) -> dict[Key, int]:
+    """Q_i of the monomial stored as (zeta, tau), keyed by the (zeta, tau) of each term.
+
+    Each odd generator gives one term, and no two of them give the same one.
+    """
+    image: dict[Key, int] = {}
+    if p == 2:
+        for index, e in zeta:
+            if index >= 3 and e % 2:  # z_m -> z_{m-1}^2 (Q0) or z_{m-2}^4 (Q1)
+                exps = dict(zeta)
+                exps[index] = e - 1
+                exps[index - 1 - i] = exps.get(index - 1 - i, 0) + 2 ** (i + 1)
+                image[tuple(sorted((m, x) for m, x in exps.items() if x)), tau] = 1
     else:
-        acc.pop(target, None)
+        for position, index in enumerate(tau):
+            exps = dict(zeta)
+            exps[index - i] = exps.get(index - i, 0) + p ** i
+            sign = 1 if position % 2 == 0 else p - 1  # odd generators passed over
+            image[tuple(sorted(exps.items())), tau[:position] + tau[position + 1:]] = sign
+    return image
 
 
 def apply_q(i: int, m: SteenrodMonomial) -> dict[SteenrodMonomial, int]:
     """Q_i applied to a monomial, as an F_p combination of monomials."""
     if i not in (0, 1):
         raise ValueError(f"only Q0 and Q1 act here, got Q{i}")
-    p = m.prime
-    result: dict[SteenrodMonomial, int] = {}
-    if p == 2:
-        for index, e in m.zeta:
-            if index < 3 or e % 2 == 0:
-                continue
-            image_index, image_exp = (index - 1, 2) if i == 0 else (index - 2, 4)
-            exps = dict(m.zeta)
-            exps[index] = e - 1
-            exps[image_index] = exps.get(image_index, 0) + image_exp
-            _add_term(result, SteenrodMonomial(2, exps), 1, p)
-        return result
-
-    for position, index in enumerate(m.tau):
-        target_index = index - i
-        exps = dict(m.zeta)
-        exps[target_index] = exps.get(target_index, 0) + p ** i
-        remaining = tuple(t for t in m.tau if t != index)
-        sign = 1 if position % 2 == 0 else p - 1  # odd generators passed over
-        _add_term(result, SteenrodMonomial(p, exps, remaining), sign, p)
-    return result
+    return {SteenrodMonomial(m.prime, zeta, tau): coeff
+            for (zeta, tau), coeff in _q_image(m.prime, i, m.zeta, m.tau).items()}
 
 
 def apply_q_linear(i: int, cycle: Cycle) -> dict[SteenrodMonomial, int]:
@@ -140,8 +136,8 @@ def apply_q_linear(i: int, cycle: Cycle) -> dict[SteenrodMonomial, int]:
     acc: dict[SteenrodMonomial, int] = {}
     for monomial, coeff in cycle:
         for target, c in apply_q(i, monomial).items():
-            _add_term(acc, target, coeff * c, monomial.prime)
-    return acc
+            acc[target] = (acc.get(target, 0) + coeff * c) % monomial.prime
+    return {target: c for target, c in acc.items() if c}
 
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -179,82 +175,84 @@ def q_degree_drop(p: int, i: int) -> int:
     return 1 if i == 0 else 2 * p - 1
 
 
-def _generators(p: int, max_weight: int) -> list[tuple[str, int, int, int, int | None]]:
-    """(kind, index, exponent step, weight per step, max steps) per generator."""
-    gens: list[tuple[str, int, int, int, int | None]] = []
-    if p == 2:
-        if 2 <= max_weight:
-            gens.append(("zeta", 1, 2, 2, None))
-        if 4 <= max_weight:
-            gens.append(("zeta", 2, 2, 4, None))
-        m = 3
-        while 2 ** (m - 1) <= max_weight:
-            gens.append(("zeta", m, 1, 2 ** (m - 1), None))
-            m += 1
-    else:
-        m = 1
-        while p ** m <= max_weight:
-            gens.append(("zeta", m, 1, p ** m, None))
-            m += 1
-        m = 2
-        while p ** m <= max_weight:
-            gens.append(("tau", m, 1, p ** m, 1))
-            m += 1
+def _generators(p: int, max_weight: int) -> list[Generator]:
+    """Generators up to ``max_weight``, lightest first; each weight is a multiple of the first."""
+    gens = [(False, 1, 2, 2), (False, 2, 2, 4)] if p == 2 else [(False, 1, 1, p)]
+    m = 3 if p == 2 else 2
+    while (weight := 2 ** (m - 1) if p == 2 else p ** m) <= max_weight:
+        gens.append((False, m, 1, weight))
+        if p != 2:
+            gens.append((True, m, 1, weight))
+        m += 1
     return gens
 
 
+def _piece_size(gens: list[Generator], target: int, budget: int) -> int:
+    """Number of monomials of weight ``target``, or budget + 1 if there are more.
+
+    Heaviest first, choices are grouped by the weight they leave.  The lightest
+    generator takes what is left, so no level has more choices than the piece.
+    """
+    left = {target: 1}
+    for exterior, _, _, weight in reversed(gens[1:]):
+        most = {rest: min(rest // weight, 1) if exterior else rest // weight for rest in left}
+        if sum(ways * (most[rest] + 1) for rest, ways in left.items()) > budget:
+            return budget + 1
+        counted: dict[int, int] = {}
+        for rest, ways in left.items():
+            for used in range(most[rest] + 1):
+                counted[rest - used * weight] = counted.get(rest - used * weight, 0) + ways
+        left = counted
+    return sum(left.values())
+
+
+def _monomials(p: int, gens: list[Generator], target: int) -> list[SteenrodMonomial]:
+    """Every monomial of weight ``target``, chosen as exponent tuples heaviest generator first."""
+    partial: list[tuple[int, Zeta, tuple[int, ...]]] = [(target, (), ())]
+    for exterior, index, step, weight in reversed(gens[1:]):
+        if exterior:
+            partial += [(rest - weight, zeta, (index, *tau))
+                        for rest, zeta, tau in partial if rest >= weight]
+        else:
+            partial = [(rest - used * weight, ((index, used * step), *zeta) if used else zeta, tau)
+                       for rest, zeta, tau in partial for used in range(rest // weight + 1)]
+    _, index, step, weight = gens[0]
+    return [SteenrodMonomial(p, ((index, rest // weight * step), *zeta) if rest else zeta, tau)
+            for rest, zeta, tau in partial]
+
+
 def enumerate_m1(p: int, k: int, budget: int = DEFAULT_RESIDUE_BUDGET) -> M1Complex:
-    """Enumerate the complete monomial basis of the weight piece and its differentials."""
+    """Enumerate the complete monomial basis of the weight piece and its differentials.
+
+    A piece of more than ``budget`` monomials raises before any is built.
+    """
     require_prime(p)
     if k < 0:
         raise ValueError(f"expected a natural weight index, got {k}")
     target = (2 if p == 2 else p) * k
     gens = _generators(p, target)
-    found: list[SteenrodMonomial] = []
-
-    def descend(pos: int, remaining: int, zeta: dict[int, int], tau: list[int]) -> None:
-        if pos == len(gens):
-            if remaining == 0:
-                if len(found) >= budget:
-                    raise ResourceLimitError(
-                        f"weight piece at p={p}, k={k} exceeds enumeration budget {budget}",
-                        required=len(found) + 1, budget=budget)
-                found.append(SteenrodMonomial(p, dict(zeta), tuple(tau)))
-            return
-        kind, index, exp_step, weight_step, max_steps = gens[pos]
-        count = 0
-        while count * weight_step <= remaining and (max_steps is None or count <= max_steps):
-            if count:
-                if kind == "zeta":
-                    zeta[index] = count * exp_step
-                else:
-                    tau.append(index)
-            descend(pos + 1, remaining - count * weight_step, zeta, tau)
-            if count:
-                if kind == "zeta":
-                    del zeta[index]
-                else:
-                    tau.pop()
-            count += 1
-
-    descend(0, target, {}, [])
-    basis = tuple(sorted(found, key=SteenrodMonomial.sort_key))
-    if any(m.weight() != target for m in basis):
-        raise InternalConsistencyError(f"enumerated a monomial off weight {target}")
+    size = _piece_size(gens, target, budget)
+    if size > budget:
+        raise ResourceLimitError(
+            f"weight piece at p={p}, k={k} exceeds enumeration budget {budget}",
+            required=size, budget=budget)
+    basis = tuple(sorted(_monomials(p, gens, target), key=SteenrodMonomial.sort_key))
+    if len(basis) != size or any(m.weight() != target for m in basis):
+        raise InternalConsistencyError(
+            f"enumeration at weight {target} disagrees with its count {size} or its weights")
 
     slices = {degree: tuple(ms)
               for degree, ms in itertools.groupby(basis, SteenrodMonomial.degree)}
+    row_of = {(m.zeta, m.tau): row for slice_ in slices.values() for row, m in enumerate(slice_)}
 
     def build(i: int) -> dict[int, Matrix]:
         drop = q_degree_drop(p, i)
         table: dict[int, Matrix] = {}
         for degree, source in slices.items():
-            target_slice = slices.get(degree - drop, ())
-            row_of = {m: row for row, m in enumerate(target_slice)}
-            rows = [[0] * len(source) for _ in target_slice]
+            rows = [[0] * len(source) for _ in slices.get(degree - drop, ())]
             for col, m in enumerate(source):
-                for monomial, coeff in apply_q(i, m).items():
-                    rows[row_of[monomial]][col] = coeff
+                for key, coeff in _q_image(p, i, m.zeta, m.tau).items():
+                    rows[row_of[key]][col] = coeff
             table[degree] = tuple(tuple(r) for r in rows)
         return table
 

@@ -130,14 +130,15 @@ def is_semistable_plocal_residues(p: int, f: Poly,
                                   budget: int = DEFAULT_RESIDUE_BUDGET) -> bool:
     """True iff nu_p(f(k)) >= 0 for every p-adic unit k, by residue exhaustion.
 
-    With e = max(0, -min coefficient valuation), p^e*f has p-integral
-    coefficients and its value mod p^e depends only on k mod p^e, so the
-    units of Z/p^e exhaust all unit evaluations.  Work is bounded by
+    With f = nums/den in lowest terms (gcd(den, *nums) = 1), e = nu_p(den)
+    is max(0, -min coefficient valuation), and p^e*f = nums/u for the unit
+    part u of den.  Its value mod p^e depends only on k mod p^e, so the units
+    of Z/p^e exhaust all unit evaluations.  Work is bounded by
     p^e * (deg f + 1) and guarded by ``budget``.
     """
     require_prime(p)
-    min_val = f.min_coeff_valuation(p)
-    e = 0 if min_val.is_infinite else max(0, -min_val.value)
+    nums, den = f.as_integer_ratio()
+    e = nu_p(p, den).value
     if e == 0:
         return True
     cost = p ** e * (f.degree + 1)
@@ -146,10 +147,8 @@ def is_semistable_plocal_residues(p: int, f: Poly,
             f"residue test needs e={e}: p^e*(deg+1) = {cost} exceeds budget {budget}",
             required=e, budget=budget)
     modulus = p ** e
-    scaled = []
-    for c in (f * modulus).coefficients:
-        # nu_p(c) >= 0 here, so the reduced denominator is a unit mod p^e
-        scaled.append(c.numerator * pow(c.denominator, -1, modulus) % modulus)
+    unit_inverse = pow(den // modulus, -1, modulus)
+    scaled = [c * unit_inverse % modulus for c in nums]
     for k in range(1, modulus):
         if k % p == 0:
             continue

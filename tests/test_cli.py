@@ -154,6 +154,15 @@ def test_margolis_json(capsys):
     assert payload["cover_rank"] == 3
 
 
+@pytest.mark.parametrize("k", ["238", "1000000000"])
+def test_margolis_over_the_enumeration_budget_exits_2(capsys, monkeypatch, k):
+    # the p = 2 piece at k = 238 is the first with more than 10^7 monomials (10,141,205)
+    monkeypatch.delenv("COOPBASIS_BUDGET", raising=False)
+    code, _, err = run(capsys, "margolis", "--k", k)
+    assert code == 2
+    assert f"k={k} exceeds enumeration budget 10000000" in err
+
+
 def test_verify_small_runs_clean(capsys):
     code, out, _ = run(capsys, "verify", "--prime", "2", "--max-n", "4",
                        "--max-k", "4", "--format", "json")

@@ -1,9 +1,11 @@
+import gc
 import inspect
 import json
 import pathlib
 
 import pytest
 
+from coopbasis import margolis
 from coopbasis import (DEFAULT_RESIDUE_BUDGET, InternalConsistencyError,
                        ResourceLimitError, SteenrodMonomial, apply_q,
                        apply_q_linear, complex_to_json, cover_rank, cycle_to_string,
@@ -49,6 +51,41 @@ def test_enumeration_budget():
         enumerate_m1(2, 12, budget=3)
 
 
+@pytest.mark.parametrize("p, k", [(2, 12), (3, 12), (5, 10)])
+def test_enumeration_budget_is_exact(p, k):
+    size = len(enumerate_m1(p, k).basis)
+    assert len(enumerate_m1(p, k, budget=size).basis) == size
+    with pytest.raises(ResourceLimitError) as info:
+        enumerate_m1(p, k, budget=size - 1)
+    assert info.value.required == size
+
+
+def test_enumeration_budget_is_checked_before_any_monomial_is_built(monkeypatch):
+    built = []
+    init = SteenrodMonomial.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SteenrodMonomial, "__init__", counting_init)
+    with pytest.raises(ResourceLimitError) as info:
+        enumerate_m1(2, 40, budget=100)
+    assert built == []
+    assert info.value.required == 101
+
+
+def test_enumeration_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_m1(2, 20)
+        enumerate_m1(3, 30)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_enumeration_budget_default_matches_cli():
     budget = inspect.signature(enumerate_m1).parameters["budget"]
     assert budget.default == DEFAULT_RESIDUE_BUDGET
@@ -58,6 +95,12 @@ def test_enumeration_checks_weights(monkeypatch):
     monkeypatch.setattr(SteenrodMonomial, "weight", lambda self: -1)
     with pytest.raises(InternalConsistencyError):
         enumerate_m1(2, 2)
+
+
+def test_enumeration_checks_its_count(monkeypatch):
+    monkeypatch.setattr(margolis, "_piece_size", lambda gens, target, budget: 2)
+    with pytest.raises(InternalConsistencyError):
+        enumerate_m1(2, 2)  # three monomials: z1^4, z2^2, z3
 
 
 def test_apply_q_examples():
@@ -78,6 +121,24 @@ def test_apply_q_preserves_weight_and_drops_degree():
                     assert 0 < coeff < p
                     assert target.weight() == m.weight()
                     assert target.degree() == m.degree() - drop
+
+
+@pytest.mark.parametrize("p, top", [(2, 16), (3, 20), (5, 20)])
+def test_stored_differentials_are_apply_q(p, top):
+    # the matrices are built from exponent tuples, apply_q from monomials
+    for k in range(top + 1):
+        complex_ = enumerate_m1(p, k)
+        for i in (0, 1):
+            drop = 1 if i == 0 else 2 * p - 1
+            for degree in complex_.degrees():
+                source = complex_.degree_slice(degree)
+                target = complex_.degree_slice(degree - drop)
+                matrix = complex_.differential(i, degree)
+                assert len(matrix) == len(target)
+                assert all(len(row) == len(source) for row in matrix)
+                for col, m in enumerate(source):
+                    column = {t: row[col] for t, row in zip(target, matrix) if row[col]}
+                    assert column == apply_q(i, m), (p, k, i, m)
 
 
 def test_q_squares_to_zero():
