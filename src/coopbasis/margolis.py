@@ -123,10 +123,14 @@ def _q_image(p: int, i: int, zeta: Zeta, tau: tuple[int, ...]) -> dict[Key, int]
     return image
 
 
-def apply_q(i: int, m: SteenrodMonomial) -> dict[SteenrodMonomial, int]:
-    """Q_i applied to a monomial, as an F_p combination of monomials."""
+def _require_q(i: int) -> None:
     if i not in (0, 1):
         raise ValueError(f"only Q0 and Q1 act here, got Q{i}")
+
+
+def apply_q(i: int, m: SteenrodMonomial) -> dict[SteenrodMonomial, int]:
+    """Q_i applied to a monomial, as an F_p combination of monomials."""
+    _require_q(i)
     return {SteenrodMonomial(m.prime, zeta, tau): coeff
             for (zeta, tau), coeff in _q_image(m.prime, i, m.zeta, m.tau).items()}
 
@@ -140,24 +144,21 @@ def apply_q_linear(i: int, cycle: Cycle) -> dict[SteenrodMonomial, int]:
     return {target: c for target, c in acc.items() if c}
 
 
-Matrix = tuple[tuple[int, ...], ...]
-
-
 @dataclasses.dataclass(frozen=True)
 class M1Complex:
     """The weight-2k (p = 2) or weight-pk (odd p) monomial piece with both differentials.
 
     ``slices[d]`` is the degree-d part of the basis, in basis order.
     ``q0[d]`` and ``q1[d]`` map the degree-d slice to the slice in degree
-    d-1 resp. d-(2p-1); rows are indexed by the target slice, columns by
-    the source slice.
+    d-1 resp. d-(2p-1): one sparse column per source monomial, in slice
+    order, as {position in the target slice: nonzero coefficient}.
     """
 
     prime: int
     k: int
     basis: tuple[SteenrodMonomial, ...]
-    q0: dict[int, Matrix]
-    q1: dict[int, Matrix]
+    q0: dict[int, tuple[dict[int, int], ...]]
+    q1: dict[int, tuple[dict[int, int], ...]]
     slices: dict[int, tuple[SteenrodMonomial, ...]]
 
     def degrees(self) -> tuple[int, ...]:
@@ -166,9 +167,9 @@ class M1Complex:
     def degree_slice(self, degree: int) -> tuple[SteenrodMonomial, ...]:
         return self.slices.get(degree, ())
 
-    def differential(self, i: int, degree: int) -> Matrix:
-        table = self.q0 if i == 0 else self.q1
-        return table.get(degree, ())
+    def differential(self, i: int, degree: int) -> tuple[dict[int, int], ...]:
+        _require_q(i)
+        return (self.q0 if i == 0 else self.q1).get(degree, ())
 
 
 def q_degree_drop(p: int, i: int) -> int:
@@ -243,18 +244,13 @@ def enumerate_m1(p: int, k: int, budget: int = DEFAULT_RESIDUE_BUDGET) -> M1Comp
 
     slices = {degree: tuple(ms)
               for degree, ms in itertools.groupby(basis, SteenrodMonomial.degree)}
-    row_of = {(m.zeta, m.tau): row for slice_ in slices.values() for row, m in enumerate(slice_)}
+    position = {(m.zeta, m.tau): c for slice_ in slices.values() for c, m in enumerate(slice_)}
 
-    def build(i: int) -> dict[int, Matrix]:
-        drop = q_degree_drop(p, i)
-        table: dict[int, Matrix] = {}
-        for degree, source in slices.items():
-            rows = [[0] * len(source) for _ in slices.get(degree - drop, ())]
-            for col, m in enumerate(source):
-                for key, coeff in _q_image(p, i, m.zeta, m.tau).items():
-                    rows[row_of[key]][col] = coeff
-            table[degree] = tuple(tuple(r) for r in rows)
-        return table
+    def build(i: int) -> dict[int, tuple[dict[int, int], ...]]:
+        return {degree: tuple({position[key]: coeff
+                               for key, coeff in _q_image(p, i, m.zeta, m.tau).items()}
+                              for m in source)
+                for degree, source in slices.items()}
 
     return M1Complex(p, k, basis, build(0), build(1), slices)
 
@@ -262,51 +258,36 @@ def enumerate_m1(p: int, k: int, budget: int = DEFAULT_RESIDUE_BUDGET) -> M1Comp
 # ---- exact linear algebra over F_p -------------------------------------
 
 
-def _rref(rows: Iterable[Iterable[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat = [list(r) for r in rows]
-    mat = [r for r in mat if any(x % p for x in r)]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(mat)) if mat[r][col] % p), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = pow(mat[row][col], -1, p)
-        mat[row] = [x * inv % p for x in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [(a - factor * b) % p for a, b in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(mat):
-            break
-    return [r for r in mat if any(r)], pivots
+def _echelon(vectors: Iterable[dict[int, int]], p: int,
+             rows: dict[int, dict[int, int]] | None = None) -> dict[int, dict[int, int]]:
+    """Reduced row echelon basis over F_p of sparse vectors {position: coefficient}.
 
+    The rows are keyed by pivot, a row's least position.  Each row is 1 at
+    its own pivot and 0 at every other pivot, so a vector reduces in one
+    pass over the pivots it holds.  ``rows``, if given, is extended in place.
+    """
+    rows = {} if rows is None else rows
 
-def _nullspace(rows: Iterable[Iterable[int]], ncols: int, p: int) -> list[list[int]]:
-    """Basis of the kernel of the map whose matrix rows are given."""
-    rref, pivots = _rref(rows, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = 1
-        for r, pivot_col in zip(rref, pivots):
-            vec[pivot_col] = (-r[f]) % p
-        basis.append(vec)
-    return basis
+    def subtract(target: dict[int, int], c: int, row: dict[int, int]) -> None:
+        for key, x in row.items():
+            if y := (target.get(key, 0) - c * x) % p:
+                target[key] = y
+            else:
+                del target[key]
 
-
-def _image_columns(complex_: M1Complex, i: int, degree: int) -> list[list[int]]:
-    """im Q_i in the degree-d slice, one vector per column of the incoming matrix."""
-    incoming = complex_.differential(i, degree + q_degree_drop(complex_.prime, i))
-    return [list(column) for column in zip(*incoming)]
+    for vector in vectors:
+        vector = {key: x % p for key, x in vector.items() if x % p}
+        for pivot, c in [(key, vector[key]) for key in vector if key in rows]:
+            subtract(vector, c, rows[pivot])
+        if vector:
+            pivot = min(vector)
+            inverse = pow(vector[pivot], -1, p)
+            vector = {key: x * inverse % p for key, x in vector.items()}
+            for row in rows.values():
+                if pivot in row:
+                    subtract(row, row[pivot], vector)
+            rows[pivot] = vector
+    return rows
 
 
 @dataclasses.dataclass(frozen=True)
@@ -321,30 +302,29 @@ class HomologyEntry:
 def margolis_homology(complex_: M1Complex, i: int) -> tuple[HomologyEntry, ...]:
     """ker Q_i / im Q_i per internal degree, with canonical representative cycles.
 
-    Since Q_i Q_i = 0, reducing ker Q_i against the echelon rows of im Q_i
-    gives exactly the kernel vectors that vanish at the image's pivot
-    columns, a complement of the image in the kernel.  The representatives
-    are the unique reduced row echelon basis of that subspace (leading
-    coefficient 1, columns in the basis order of the slice); for
+    Since Q_i Q_i = 0, the kernel vectors that vanish at the pivots P of
+    im Q_i form a complement of the image in the kernel.  Each source
+    position c gives the vector (Q_i e_c, e_c at P, e_c), with the source
+    positions ordered last; the echelon rows that lead there are the
+    unique reduced row echelon basis of that complement (leading
+    coefficient 1, columns in the basis order of the slice).  For
     one-dimensional homology this is the least representative in that
     ordering.
     """
-    if i not in (0, 1):
-        raise ValueError(f"only Q0 and Q1 act here, got Q{i}")
     p = complex_.prime
+    drop = q_degree_drop(p, i)
     entries = []
     for degree in complex_.degrees():
         slice_ = complex_.degree_slice(degree)
-        _, image_pivots = _rref(_image_columns(complex_, i, degree), p)
-        units = [[int(c == pivot) for c in range(len(slice_))] for pivot in image_pivots]
-        rows = [*complex_.differential(i, degree), *units]
-        hom_rows, _ = _rref(_nullspace(rows, len(slice_), p), p)
-        if not hom_rows:
-            continue
-        generators = tuple(
-            tuple((slice_[c], coeff) for c, coeff in enumerate(row) if coeff)
-            for row in hom_rows)
-        entries.append(HomologyEntry(degree, len(hom_rows), generators))
+        image_pivots = _echelon(complex_.differential(i, degree + drop), p)
+        width = len(complex_.degree_slice(degree - drop))  # unit keys at P start here
+        source = width + len(slice_)  # source keys start here
+        rows = _echelon(({**column, **({width + c: 1} if c in image_pivots else {}), source + c: 1}
+                         for c, column in enumerate(complex_.differential(i, degree))), p)
+        generators = tuple(tuple((slice_[key - source], x) for key, x in sorted(row.items()))
+                           for pivot, row in sorted(rows.items()) if pivot >= source)
+        if generators:
+            entries.append(HomologyEntry(degree, len(generators), generators))
     return tuple(entries)
 
 
@@ -355,41 +335,44 @@ def is_cycle(i: int, cycle: Cycle) -> bool:
 def homologous(complex_: M1Complex, i: int, a: Cycle, b: Cycle) -> bool:
     """True iff two cycles of the same degree differ by an image element.
 
-    a - b lies in im Q_i exactly when appending it to the image columns
-    leaves their rank over F_p unchanged.
+    a - b lies in im Q_i exactly when it reduces to zero against the
+    echelon rows of the image columns.
     """
+    _require_q(i)
     p = complex_.prime
-    degrees = {m.degree() for m, _ in a} | {m.degree() for m, _ in b}
+    terms = [*a, *((monomial, -coeff) for monomial, coeff in b)]
+    for monomial, _ in terms:
+        if monomial not in complex_.degree_slice(monomial.degree()):
+            raise ValueError(f"{monomial} is not in the weight piece of k={complex_.k} at p={p}")
+    degrees = {monomial.degree() for monomial, _ in terms}
     if len(degrees) != 1:
         return False
     degree = degrees.pop()
-    slice_ = complex_.degree_slice(degree)
-    position = {m: c for c, m in enumerate(slice_)}
-    vec = [0] * len(slice_)
-    for monomial, coeff in a:
-        vec[position[monomial]] = (vec[position[monomial]] + coeff) % p
-    for monomial, coeff in b:
-        vec[position[monomial]] = (vec[position[monomial]] - coeff) % p
-    image = _image_columns(complex_, i, degree)
-    return len(_rref(image + [vec], p)[0]) == len(_rref(image, p)[0])
+    position = {m: c for c, m in enumerate(complex_.degree_slice(degree))}
+    difference: dict[int, int] = {}
+    for monomial, coeff in terms:
+        difference[position[monomial]] = difference.get(position[monomial], 0) + coeff
+    rows = _echelon(complex_.differential(i, degree + q_degree_drop(p, i)), p)
+    rank = len(rows)
+    return len(_echelon([difference], p, rows)) == rank
 
 
 def q_square_is_zero(complex_: M1Complex, i: int) -> bool:
     """Blockwise check that Q_i composed with itself vanishes.
 
-    Each product row sums the rows of the first matrix that the second
-    matrix's row selects with a nonzero entry.
+    Each composite column sums the second map's columns at the first
+    column's positions, weighted by its coefficients.
     """
     p = complex_.prime
     drop = q_degree_drop(p, i)
     for degree in complex_.degrees():
-        first = complex_.differential(i, degree)
-        for out_row in complex_.differential(i, degree - drop):
-            acc = [0] * len(first[0])
-            for coeff, row in zip(out_row, first):
-                if coeff:
-                    acc = [a + coeff * b for a, b in zip(acc, row)]
-            if any(x % p for x in acc):
+        second = complex_.differential(i, degree - drop)
+        for column in complex_.differential(i, degree):
+            composite: dict[int, int] = {}
+            for position, coeff in column.items():
+                for key, x in second[position].items():
+                    composite[key] = composite.get(key, 0) + coeff * x
+            if any(x % p for x in composite.values()):
                 return False
     return True
 

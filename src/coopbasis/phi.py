@@ -334,30 +334,46 @@ def digit_products(p: int, factors: Sequence[Poly], count: int) -> list[Poly]:
     return products
 
 
-def phi_monomials(p: int, count: int, family: PhiFamily) -> list[PhiMonomial]:
-    """The monomials prod_i phi_{i+1}^{k_i} for k < count, from ``digit_products``."""
+def _require_members(p: int, top: int, family: PhiFamily) -> None:
+    """Check that ``family`` is at p and holds every phi that index ``top`` needs."""
     require_prime(p)
     if family.prime != p:
         raise ValueError(f"family was built at p={family.prime}, not p={p}")
-    needed = len(base_p_digits(p, max(count - 1, 0)))
+    needed = len(base_p_digits(p, top))
     if needed > len(family):
-        raise ValueError(f"index {count - 1} needs phi_{needed}, beyond family of size {len(family)}")
-    monomials = []
-    for k, product in enumerate(digit_products(p, family.polys, count)):
-        monomial = PhiMonomial(p, k, base_p_digits(p, k), product)
-        if k and product.degree != monomial.degree:
-            raise InternalConsistencyError(
-                f"phi-monomial {k} at p={p} has degree {product.degree}, "
-                f"expected {monomial.degree}")
-        monomials.append(monomial)
-    return monomials
+        raise ValueError(f"index {top} needs phi_{needed}, beyond family of size {len(family)}")
+
+
+def _checked_monomial(p: int, k: int, product: Poly) -> PhiMonomial:
+    monomial = PhiMonomial(p, k, base_p_digits(p, k), product)
+    if k and product.degree != monomial.degree:
+        raise InternalConsistencyError(
+            f"phi-monomial {k} at p={p} has degree {product.degree}, "
+            f"expected {monomial.degree}")
+    return monomial
+
+
+def phi_monomials(p: int, count: int, family: PhiFamily) -> list[PhiMonomial]:
+    """The monomials prod_i phi_{i+1}^{k_i} for k < count, from ``digit_products``."""
+    _require_members(p, max(count - 1, 0), family)
+    return [_checked_monomial(p, k, product)
+            for k, product in enumerate(digit_products(p, family.polys, count))]
 
 
 def phi_monomial(p: int, k: int, family: PhiFamily) -> PhiMonomial:
-    """The monomial prod_i phi_{i+1}^{k_i} for the base-p digits k_i of k."""
+    """The monomial prod_i phi_{i+1}^{k_i} for the base-p digits k_i of k.
+
+    One multiplication per unit of each digit, alpha_p(k) in all, along the
+    chain k -> k - p^j -> ... -> 0.
+    """
     if k < 0:
         raise ValueError(f"expected a natural index, got {k}")
-    return phi_monomials(p, k + 1, family)[k]
+    _require_members(p, k, family)
+    product = Poly.one()
+    for factor, digit in zip(family.polys, base_p_digits(p, k)):
+        for _ in range(digit):
+            product = product * factor
+    return _checked_monomial(p, k, product)
 
 
 def monomial_af(p: int, k: int) -> int:

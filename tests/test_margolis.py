@@ -125,7 +125,7 @@ def test_apply_q_preserves_weight_and_drops_degree():
 
 @pytest.mark.parametrize("p, top", [(2, 16), (3, 20), (5, 20)])
 def test_stored_differentials_are_apply_q(p, top):
-    # the matrices are built from exponent tuples, apply_q from monomials
+    # the columns are built from exponent tuples, apply_q from monomials
     for k in range(top + 1):
         complex_ = enumerate_m1(p, k)
         for i in (0, 1):
@@ -133,12 +133,13 @@ def test_stored_differentials_are_apply_q(p, top):
             for degree in complex_.degrees():
                 source = complex_.degree_slice(degree)
                 target = complex_.degree_slice(degree - drop)
-                matrix = complex_.differential(i, degree)
-                assert len(matrix) == len(target)
-                assert all(len(row) == len(source) for row in matrix)
-                for col, m in enumerate(source):
-                    column = {t: row[col] for t, row in zip(target, matrix) if row[col]}
-                    assert column == apply_q(i, m), (p, k, i, m)
+                columns = complex_.differential(i, degree)
+                assert len(columns) == len(source)
+                assert all(0 <= t < len(target) and 0 < c < p
+                           for column in columns for t, c in column.items())
+                for column, m in zip(columns, source):
+                    image = {target[t]: c for t, c in column.items()}
+                    assert image == apply_q(i, m), (p, k, i, m)
 
 
 def test_q_squares_to_zero():
@@ -191,13 +192,38 @@ def test_homologous_and_cycles():
     assert not homologous(complex_, 0, gen, other)
 
 
+@pytest.mark.parametrize("call", [
+    lambda c, i: c.differential(i, 8),
+    lambda c, i: margolis_homology(c, i),
+    lambda c, i: q_square_is_zero(c, i),
+    lambda c, i: homologous(c, i, ((zeta(2, {1: 8}), 1),), ((zeta(2, {1: 4, 2: 2}), 1),)),
+], ids=["differential", "margolis_homology", "q_square_is_zero", "homologous"])
+@pytest.mark.parametrize("i", [-1, 2, 7])
+def test_only_q0_and_q1_act(call, i):
+    with pytest.raises(ValueError, match=f"only Q0 and Q1 act here, got Q{i}"):
+        call(enumerate_m1(2, 4), i)
+
+
+def test_homologous_rejects_foreign_monomials():
+    complex_ = enumerate_m1(2, 4)
+    z18 = ((zeta(2, {1: 8}), 1),)
+    foreign = zeta(2, {1: 2, 2: 2})  # degree 8 like z1^8, but weight 6
+    assert foreign.degree() == 8
+    for a, b in ((z18, ((foreign, 1),)), (((foreign, 1),), z18)):
+        with pytest.raises(ValueError, match=r"z1\^2 z2\^2"):
+            homologous(complex_, 0, a, b)
+    with pytest.raises(ValueError, match=r"z1\^4"):
+        homologous(complex_, 0, z18, ((zeta(3, {1: 4}), 1),))  # another prime
+
+
 def _slice_cycle(slice_, vec, p):
     return tuple((m, x % p) for m, x in zip(slice_, vec) if x % p)
 
 
 def _first_image_column(complex_, i, degree):
     drop = 1 if i == 0 else 2 * complex_.prime - 1
-    column = [row[0] for row in complex_.differential(i, degree + drop)]
+    sparse = complex_.differential(i, degree + drop)[0]
+    column = [sparse.get(c, 0) for c in range(len(complex_.degree_slice(degree)))]
     assert any(column)
     return column
 

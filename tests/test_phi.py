@@ -113,6 +113,23 @@ def test_phi_monomials_match_phi_monomial(p, count):
         phi_monomials(p, p ** count + 1, fam)  # index p^count needs one more phi
 
 
+@pytest.mark.parametrize("p, k, count",
+                         [(2, 0, 1), (2, 127, 7), (2, 100, 7), (3, 80, 4), (5, 124, 3)])
+def test_phi_monomial_walks_only_its_digits(monkeypatch, p, k, count):
+    fam = phi_family(p, count, verify_integrality=False)
+    expected = phi_monomials(p, k + 1, fam)[k]
+    calls = []
+    mul = Poly.__mul__
+
+    def counting_mul(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    assert phi_monomial(p, k, fam) == expected
+    assert len(calls) == alpha_p(p, k)
+
+
 def test_monomial_degree_law():
     for p, count in ((2, 5), (3, 3)):
         fam = phi_family(p, count)

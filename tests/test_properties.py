@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from coopbasis import (GExpansion, Poly, Valuation, base_p_digits, digit_products, expand_in_g,
                        is_semistable_2local, is_semistable_plocal_residues, nu_p)
+from coopbasis.margolis import _echelon
 
 PROPERTY = settings(database=None, derandomize=True, deadline=None)
 
@@ -119,3 +120,80 @@ def test_digit_products_match_the_digit_definition(p, factors):
         for factor, digit in zip(factors, base_p_digits(p, k)):
             expected = expected * factor ** digit
         assert product == expected
+
+
+def _rref(rows, p):
+    """Dense reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    mat = [list(r) for r in rows]
+    mat = [r for r in mat if any(x % p for x in r)]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, len(mat)) if mat[r][col] % p), None)
+        if pivot is None:
+            continue
+        mat[row], mat[pivot] = mat[pivot], mat[row]
+        inv = pow(mat[row][col], -1, p)
+        mat[row] = [x * inv % p for x in mat[row]]
+        for r in range(len(mat)):
+            if r != row and mat[r][col]:
+                factor = mat[r][col]
+                mat[r] = [(a - factor * b) % p for a, b in zip(mat[r], mat[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(mat):
+            break
+    return [r for r in mat if any(r)], pivots
+
+
+def _nullspace(rows, ncols, p):
+    """Dense basis of the kernel of the map whose matrix rows are given."""
+    rref, pivots = _rref(rows, p)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[f] = 1
+        for r, pivot_col in zip(rref, pivots):
+            vec[pivot_col] = (-r[f]) % p
+        basis.append(vec)
+    return basis
+
+
+@st.composite
+def fp_matrices(draw):
+    """(p, column count, rows of a matrix over F_p, a set of columns to constrain to zero)."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(1, 7))
+    entries = st.integers(0, p - 1) | st.just(0)  # sparse half the time
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    return p, ncols, rows, draw(st.sets(st.integers(0, ncols - 1)))
+
+
+def _dense(rows, ncols, shift=0):
+    return [[row.get(shift + c, 0) for c in range(ncols)] for _, row in sorted(rows.items())]
+
+
+@PROPERTY
+@given(fp_matrices())
+def test_sparse_echelon_matches_the_dense_reference(matrix):
+    # the parent's dense Margolis elimination is kept here as the reference
+    p, ncols, rows, constrained = matrix
+    nrows = len(rows)
+    echelon = _echelon(({c: x for c, x in enumerate(r) if x} for r in rows), p)
+    reference, pivots = _rref(rows, p)
+    assert sorted(echelon) == pivots
+    assert _dense(echelon, ncols) == reference
+
+    # the kernel vectors that vanish on ``constrained``, as margolis_homology builds them
+    units = [[int(c == u) for c in range(ncols)] for u in sorted(constrained)]
+    kernel, _ = _rref(_nullspace([*rows, *units], ncols, p), p)
+    source = nrows + ncols
+    augmented = _echelon(({**{r: row[c] for r, row in enumerate(rows) if row[c]},
+                           **({nrows + c: 1} if c in constrained else {}), source + c: 1}
+                          for c in range(ncols)), p)
+    leading = {pivot: row for pivot, row in augmented.items() if pivot >= source}
+    assert _dense(leading, ncols, source) == kernel
+    assert len(leading) == ncols - len(_rref([*rows, *units], p)[1])
