@@ -119,7 +119,9 @@ INFINITE = Valuation.infinite()
 
 
 def _int_valuation(p: int, n: int) -> int:
-    """Exponent of p in a nonzero integer, by repeated division."""
+    """Exponent of p in a nonzero integer: its lowest set bit at p = 2, else by repeated division."""
+    if p == 2:
+        return (n & -n).bit_length() - 1
     n = abs(n)
     v = 0
     while n % p == 0:

@@ -14,12 +14,13 @@ semistable polynomial in the phi-monomial family.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
-from .arith import Valuation, alpha_p, nu_p
+from .arith import Valuation, _int_valuation, alpha_p, nu_p
 from .errors import NotSemistableError, WeightMonotonicityError
-from .phi import PhiFamily, digit_products, phi_family, phi_monomials
+from .phi import PhiFamily, digit_products, phi_family, phi_monomial, phi_monomials
 from .poly import Poly
 from .semistable import GExpansion, expand_in_g, g_poly
 
@@ -33,17 +34,18 @@ class WeightReport:
     argmin: tuple[int, ...]
 
 
-def _weigh(expansion: GExpansion) -> WeightReport:
-    """W and its minimizing indices, read from g-coordinates."""
-    terms = {j: nu_p(2, b).value + alpha_p(2, j) - 2 * j for j, b in expansion.items()}
+def _weigh(nums: tuple[int, ...], den: int) -> tuple[Valuation, tuple[int, ...]]:
+    """W of the g-coordinates b_j = nums[j] / den and its minimizing indices, from the integers."""
+    shift = _int_valuation(2, den)
+    terms = {j: _int_valuation(2, b) - shift + j.bit_count() - 2 * j for j, b in enumerate(nums) if b}
     best = min(terms.values(), default=None)
-    argmin = tuple(sorted(j for j, t in terms.items() if t == best))
-    return WeightReport(expansion, Valuation(best), argmin)
+    return Valuation(best), tuple(j for j, t in terms.items() if t == best)
 
 
 def weight(f: Poly) -> WeightReport:
     """Weight of f via its exact g-expansion; infinite only for f = 0."""
-    return _weigh(expand_in_g(f))
+    expansion = expand_in_g(f)
+    return WeightReport(expansion, *_weigh(*expansion.as_integer_ratio()))
 
 
 def weight_value(f: Poly) -> Valuation:
@@ -71,17 +73,20 @@ def _as_optional_int(v: Valuation) -> int | None:
     return None if v.is_infinite else v.value
 
 
-def _check_pair(claim: str, n: int, lhs: GExpansion, rhs: GExpansion) -> CongruenceCheck:
-    w_lhs = _weigh(lhs).weight
-    w_rhs = _weigh(rhs).weight
-    diff = _weigh(GExpansion({j: lhs[j] - rhs[j] for j in {*lhs.support, *rhs.support}})).weight
-    passed = lhs == rhs or (w_lhs == w_rhs and diff > w_lhs)
+def _check_pair(claim: str, n: int, lhs: GExpansion, rhs: GExpansion,
+                divisor: int = 1) -> CongruenceCheck:
+    """Compare lhs with rhs / divisor; a divisor scales the denominator, and lhs - rhs / divisor
+    has integer numerators over the product of the two denominators."""
+    a, a_den = lhs.as_integer_ratio()
+    b, b_den = rhs.as_integer_ratio()
+    b_den *= divisor
+    w_lhs = _weigh(a, a_den)[0]
+    w_rhs = _weigh(b, b_den)[0]
+    difference = tuple(x * b_den - y * a_den for x, y in itertools.zip_longest(a, b, fillvalue=0))
+    diff = _weigh(difference, a_den * b_den)[0]
+    passed = diff.is_infinite or (w_lhs == w_rhs and diff > w_lhs)
     return CongruenceCheck(claim, n, _as_optional_int(w_lhs),
                            _as_optional_int(w_rhs), _as_optional_int(diff), passed)
-
-
-def _scaled(expansion: GExpansion, factor: Fraction) -> GExpansion:
-    return GExpansion({j: b * factor for j, b in expansion.items()})
 
 
 def verify_congruences(max_n: int, family: PhiFamily) -> list[CongruenceCheck]:
@@ -116,16 +121,16 @@ def verify_congruences(max_n: int, family: PhiFamily) -> list[CongruenceCheck]:
 
     for n in range(1, top + 1):
         half = 1 << (n - 1)
-        rhs = _scaled(phi1_powers[half], Fraction(1, 1 << (half - 1)))
-        checks.append(_check_pair("phi_vs_phi1_power", n, phi[n - 1], rhs))
+        checks.append(_check_pair("phi_vs_phi1_power", n, phi[n - 1], phi1_powers[half],
+                                  1 << (half - 1)))
 
     for n in range(1, max_n + 1):
-        rhs = _scaled(phi1_powers[n], Fraction(1, math.factorial(n)))
-        checks.append(_check_pair("g_vs_phi1_over_factorial", n, g[n], rhs))
+        checks.append(_check_pair("g_vs_phi1_over_factorial", n, g[n], phi1_powers[n],
+                                  math.factorial(n)))
 
     for n in range(1, max_n + 1):
-        rhs = _scaled(phi1_powers[n], Fraction(1, 1 << (n - alpha_p(2, n))))
-        checks.append(_check_pair("g_vs_phi1_over_power2", n, g[n], rhs))
+        checks.append(_check_pair("g_vs_phi1_over_power2", n, g[n], phi1_powers[n],
+                                  1 << (n - alpha_p(2, n))))
 
     for j in range(top):
         checks.append(_check_pair("g_power2_vs_phi", 1 << j, g[1 << j], phi[j]))
@@ -200,8 +205,8 @@ def expand_in_phi(f: Poly, precision: int) -> PhiExpansion:
     """
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
-    expansion = expand_in_g(f)
-    offending = tuple((j, b, nu_p(2, b).value) for j, b in expansion.items()
+    report = weight(f)
+    offending = tuple((j, b, nu_p(2, b).value) for j, b in report.expansion.items()
                       if nu_p(2, b) < 0)
     if offending:
         raise NotSemistableError(
@@ -209,13 +214,11 @@ def expand_in_phi(f: Poly, precision: int) -> PhiExpansion:
             coordinates=offending)
 
     family = PhiFamily(2, ())
-    monomials = phi_monomials(2, 1, family)  # every index below 2^len(family)
     residual = f
     exact: dict[int, Fraction] = {}
     trace: list[TraceStep] = []
     previous: Valuation | None = None
     while True:
-        report = _weigh(expansion)
         if previous is not None and report.weight <= previous:
             raise WeightMonotonicityError(
                 f"weight stalled at {report.weight} (previous {previous}) after "
@@ -227,13 +230,12 @@ def expand_in_phi(f: Poly, precision: int) -> PhiExpansion:
         for j in report.argmin:
             if j.bit_length() > len(family):
                 family = phi_family(2, j.bit_length())
-                monomials = phi_monomials(2, 1 << len(family), family)
             b = report.expansion[j]
-            residual = residual - monomials[j].poly * b
+            residual = residual - phi_monomial(2, j, family).poly * b
             exact[j] = exact.get(j, Fraction(0)) + b
             step_coeffs.append((j, b))
         trace.append(TraceStep(report.weight.value, report.argmin, tuple(step_coeffs)))
-        expansion = expand_in_g(residual)
+        report = weight(residual)
 
     modulus = 2 ** precision
     reduced: dict[int, int] = {}

@@ -344,9 +344,10 @@ def homologous(complex_: M1Complex, i: int, a: Cycle, b: Cycle) -> bool:
     for monomial, _ in terms:
         if monomial not in complex_.degree_slice(monomial.degree()):
             raise ValueError(f"{monomial} is not in the weight piece of k={complex_.k} at p={p}")
+    terms = [(monomial, coeff) for monomial, coeff in terms if coeff % p]
     degrees = {monomial.degree() for monomial, _ in terms}
     if len(degrees) != 1:
-        return False
+        return not degrees  # True when every term is 0 mod p: a - b is the zero cycle
     degree = degrees.pop()
     position = {m: c for c, m in enumerate(complex_.degree_slice(degree))}
     difference: dict[int, int] = {}

@@ -20,9 +20,9 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .arith import exact_rational, nu_p, require_prime
+from .arith import nu_p, require_prime
 from .errors import ResourceLimitError
-from .poly import Poly
+from .poly import DEFAULT_MAX_DEGREE, Poly, _reduced
 
 DEFAULT_RESIDUE_BUDGET = 10_000_000
 
@@ -50,46 +50,53 @@ def g_poly(n: int) -> Poly:
 
 
 class GExpansion:
-    """Exact coordinates of a polynomial in the g-basis, finite support."""
+    """Exact g-basis coordinates, finite support: b_j is the w^j coefficient of one stored ``Poly``."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_vector",)
 
     def __init__(self, coefficients: Mapping[int, Fraction | int] | Iterable[tuple[int, Fraction | int]] = ()) -> None:
-        items = ((int(j), exact_rational(c)) for j, c in dict(coefficients).items())
-        self._coeffs = dict(sorted((j, c) for j, c in items if c))
+        items = {int(j): c for j, c in dict(coefficients).items()}
+        if min(items, default=0) < 0 or max(items, default=0) > DEFAULT_MAX_DEGREE:  # stored densely
+            raise ValueError(f"g-indices must be in 0..{DEFAULT_MAX_DEGREE}, got {min(items)}..{max(items)}")
+        self._vector = Poly(items.get(j, 0) for j in range(max(items, default=-1) + 1))
 
     def __getitem__(self, index: int) -> Fraction:
-        return self._coeffs.get(index, Fraction(0))
+        return self._vector.coefficient(index)
 
-    def items(self) -> Iterable[tuple[int, Fraction]]:
-        return self._coeffs.items()
+    def items(self) -> tuple[tuple[int, Fraction], ...]:
+        nums, den = self._vector.as_integer_ratio()
+        return tuple((j, Fraction(b, den)) for j, b in enumerate(nums) if b)
+
+    def as_integer_ratio(self) -> tuple[tuple[int, ...], int]:
+        """``(nums, den)`` with b_j = nums[j] / den, as ``Poly.as_integer_ratio`` returns them."""
+        return self._vector.as_integer_ratio()
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(self._coeffs)
+        return tuple(j for j, b in enumerate(self._vector.as_integer_ratio()[0]) if b)
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return len(self.support)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GExpansion):
-            return self._coeffs == other._coeffs
+            return self._vector == other._vector
         if isinstance(other, dict):
             return self == GExpansion(other)
         return NotImplemented
 
     def __repr__(self) -> str:
-        return f"GExpansion({self._coeffs!r})"
+        return f"GExpansion({dict(self.items())!r})"
 
     def to_poly(self) -> Poly:
         """Recombine sum b_j * g_j."""
         acc = Poly.zero()
-        for j, b in self._coeffs.items():
+        for j, b in self.items():
             acc = acc + g_poly(j) * b
         return acc
 
     def to_json(self) -> dict[str, str]:
-        return {str(j): str(c) for j, c in self._coeffs.items()}
+        return {str(j): str(c) for j, c in self.items()}
 
     @classmethod
     def from_json(cls, data: Mapping[str, str]) -> "GExpansion":
@@ -104,7 +111,7 @@ def expand_in_g(f: Poly) -> GExpansion:
     f(2x + 1) = sum_j b_j C(x, j), so b_j is the j-th forward difference of
     x -> f(2x + 1) at 0 (Mahler's theorem).  With f = F/den for an integer
     polynomial F, the differences are taken over the integers F(1), F(3),
-    ..., F(2d + 1), and b_j is the j-th leading difference divided by den.
+    ..., F(2d + 1), and b_j is the j-th leading difference over den.
     """
     nums, den = f.as_integer_ratio()
     values = []
@@ -113,17 +120,17 @@ def expand_in_g(f: Poly) -> GExpansion:
         for c in reversed(nums):
             acc = acc * x + c
         values.append(acc)
-    coeffs = {}
-    for j in range(len(values)):
-        coeffs[j] = Fraction(values[j], den)
+    for j in range(len(values)):  # afterwards values[j] is the j-th leading difference
         for i in range(len(values) - 1, j, -1):
             values[i] -= values[i - 1]
-    return GExpansion(coeffs)
+    expansion = object.__new__(GExpansion)
+    expansion._vector = _reduced(values, den)
+    return expansion
 
 
 def is_semistable_2local(f: Poly) -> bool:
-    """True iff every g-basis coordinate of f is 2-locally integral."""
-    return all(nu_p(2, b) >= 0 for _, b in expand_in_g(f).items())
+    """True iff every g-coordinate of f is 2-locally integral: their reduced denominator is odd."""
+    return expand_in_g(f).as_integer_ratio()[1] % 2 == 1
 
 
 def is_semistable_plocal_residues(p: int, f: Poly,

@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from coopbasis import filtration
+import coopbasis
+from coopbasis import arith, filtration, poly, semistable
 from coopbasis import (NotSemistableError, Poly, alpha_p, base_p_digits,
                        congruent_mod_higher_af, expand_in_g, expand_in_phi, g_poly,
-                       monomial_af, nu_p, phi_family, phi_monomial, verify_congruences,
-                       weight, weight_value)
+                       is_semistable_2local, monomial_af, nu_p, phi_family, phi_monomial,
+                       verify_congruences, weight, weight_value)
 
 DATA = Path(__file__).parent / "data"
 
@@ -126,6 +127,52 @@ def test_verify_congruences_weights_match_the_polynomial_path():
         assert check.weight_rhs == w_rhs.value
         assert check.weight_diff == (None if w_diff.is_infinite else w_diff.value)
         assert check.passed == (lhs == rhs or (w_lhs == w_rhs and w_diff > w_lhs))
+
+
+def test_suite_and_2local_test_read_integer_coordinates(monkeypatch):
+    # the suite and the 2-local test build no Fraction per coordinate and call no nu_p:
+    # with g_poly warm, their Fraction count does not grow with n
+    counts = {"nu_p": 0, "Fraction": 0}
+    original_nu_p, original_new = arith.nu_p, Fraction.__new__
+
+    def counted_nu_p(*args):
+        counts["nu_p"] += 1
+        return original_nu_p(*args)
+
+    def counted_new(cls, *args, **kwargs):
+        counts["Fraction"] += 1
+        return original_new(cls, *args, **kwargs)
+
+    for module in (coopbasis, arith, poly, semistable, filtration):  # every binding of the name
+        monkeypatch.setattr(module, "nu_p", counted_nu_p)
+    inputs = {n: [g_poly(j) for j in range(n + 1)] + [FAM.phi(2), Poly((0, Fraction(1, 2)))]
+              for n in (8, 20)}
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    built = {}
+    for n, polys in inputs.items():
+        counts.update(nu_p=0, Fraction=0)
+        verify_congruences(n, FAM)
+        assert [is_semistable_2local(f) for f in polys][-2:] == [True, False]
+        built[n] = dict(counts)
+    assert built[8]["nu_p"] == built[20]["nu_p"] == 0
+    assert built[8]["Fraction"] == built[20]["Fraction"]
+
+
+def test_expand_in_phi_builds_only_the_monomials_it_subtracts(monkeypatch):
+    built = []
+
+    def counted(p, k, family):
+        built.append(k)
+        return phi_monomial(p, k, family)
+
+    def no_list(*args):
+        raise AssertionError("expand_in_phi built a monomial list")
+
+    monkeypatch.setattr(filtration, "phi_monomial", counted)
+    monkeypatch.setattr(filtration, "phi_monomials", no_list)
+    expansion = expand_in_phi(FAM.phi(1) ** 2, 10)
+    assert expansion.to_json() == json.loads((DATA / "expand_phi1_sq_m10.json").read_text())
+    assert built == [j for step in expansion.trace for j in step.indices]
 
 
 def test_verify_congruences_bounds():

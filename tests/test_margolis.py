@@ -192,6 +192,16 @@ def test_homologous_and_cycles():
     assert not homologous(complex_, 0, gen, other)
 
 
+def test_zero_cycles_are_homologous():
+    complex_ = enumerate_m1(2, 4)
+    gen = margolis_homology(complex_, 0)[0].generators[0]
+    assert homologous(complex_, 0, (), ())
+    # a term that is 0 mod p names another degree but adds nothing to the cycle
+    assert homologous(complex_, 0, gen, gen + ((zeta(2, {1: 4, 2: 2}), 0),))
+    assert homologous(complex_, 0, gen, gen + ((zeta(2, {1: 4, 2: 2}), 2),))
+    assert not homologous(complex_, 0, gen, gen + ((zeta(2, {1: 4, 2: 2}), 1),))
+
+
 @pytest.mark.parametrize("call", [
     lambda c, i: c.differential(i, 8),
     lambda c, i: margolis_homology(c, i),

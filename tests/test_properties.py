@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopbasis import (GExpansion, Poly, Valuation, base_p_digits, digit_products, expand_in_g,
-                       is_semistable_2local, is_semistable_plocal_residues, nu_p)
+                       is_semistable_2local, is_semistable_plocal_residues, nu_p, weight)
 from coopbasis.margolis import _echelon
 
 PROPERTY = settings(database=None, derandomize=True, deadline=None)
@@ -108,6 +108,50 @@ def test_round_trips(f):
 @given(two_power_polys())
 def test_testers_agree_at_2(f):
     assert is_semistable_2local(f) == is_semistable_plocal_residues(2, f)
+
+
+def _nu2(x):
+    """nu_2 of a nonzero Fraction, by repeated division of its numerator and denominator."""
+    v, num, den = 0, x.numerator, x.denominator
+    while num % 2 == 0:
+        num, v = num // 2, v + 1
+    while den % 2 == 0:
+        den, v = den // 2, v - 1
+    return v
+
+
+def _fraction_g_coordinates(f):
+    """b_j as Fractions: forward differences of x -> f(2x + 1) at 0, in Fraction arithmetic."""
+    values = [sum((c * (2 * x + 1) ** i for i, c in enumerate(f.coefficients)), Fraction(0))
+              for x in range(f.degree + 1)]
+    coords = {}
+    for j in range(len(values)):
+        coords[j] = values[j]
+        values = values[:j + 1] + [b - a for a, b in zip(values[j:], values[j + 1:])]
+    return {j: b for j, b in coords.items() if b}
+
+
+def _fraction_weigh(coords):
+    """The Fraction-path weighing: W = min_j nu_2(b_j) + alpha(j) - 2j and its minimizing indices."""
+    terms = {j: _nu2(b) + bin(j).count("1") - 2 * j for j, b in coords.items()}
+    best = min(terms.values(), default=None)
+    return Valuation(best), tuple(sorted(j for j, t in terms.items() if t == best))
+
+
+@PROPERTY
+@given(polys | two_power_polys())
+def test_integer_g_coordinates_match_the_fraction_path(f):
+    coords = _fraction_g_coordinates(f)
+    expansion = expand_in_g(f)
+    report = weight(f)
+    assert dict(expansion.items()) == coords
+    assert (report.weight, report.argmin) == _fraction_weigh(coords)
+    assert is_semistable_2local(f) == all(_nu2(b) >= 0 for b in coords.values())
+    nums, den = expansion.as_integer_ratio()
+    assert den >= 1 and math.gcd(den, *nums) == 1 and (not nums or nums[-1] != 0)
+    assert {j: Fraction(b, den) for j, b in enumerate(nums) if b} == coords
+    assert GExpansion(dict(expansion.items())) == expansion
+    assert GExpansion.from_json(expansion.to_json()) == expansion
 
 
 @PROPERTY

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from coopbasis import (DEFAULT_RESIDUE_BUDGET, GExpansion, Poly, ResourceLimitError,
-                       binomial_poly, expand_in_g, g_poly, integrality_verdicts,
+from coopbasis import (DEFAULT_MAX_DEGREE, DEFAULT_RESIDUE_BUDGET, GExpansion, Poly,
+                       ResourceLimitError, binomial_poly, expand_in_g, g_poly, integrality_verdicts,
                        is_semistable_2local, is_semistable_plocal_residues, nu_p, phi_family)
 
 
@@ -58,6 +58,17 @@ def test_expansion_recombines_exactly():
 def test_gexpansion_json_round_trip():
     expansion = expand_in_g(Poly((Fraction(1, 3), 0, 7)))
     assert GExpansion.from_json(expansion.to_json()) == expansion
+
+
+def test_gexpansion_rejects_indices_it_cannot_store():
+    # coordinates are stored densely, so an index must be natural and within the degree cap
+    with pytest.raises(ValueError, match="g-indices"):
+        GExpansion({-1: 1})
+    with pytest.raises(ValueError, match="g-indices"):
+        GExpansion.from_json({"-1": "1", "2": "1/3"})
+    with pytest.raises(ValueError, match="g-indices"):
+        GExpansion({DEFAULT_MAX_DEGREE + 1: 1})
+    assert GExpansion({3: 0, 1: Fraction(1, 2)}).support == (1,)
 
 
 def test_is_semistable_2local_examples():
