@@ -55,14 +55,18 @@ def _parse_poly_arg(text: str) -> Poly:
     if text.startswith("["):
         try:
             return Poly.from_json(json.loads(text))
-        except (json.JSONDecodeError, ValueError, TypeError) as exc:
+        except (json.JSONDecodeError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise PolyParseError(f"bad coefficient list: {exc}") from exc
     return Poly.parse(text)
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as handle:
+        try:
+            handle = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
+        with handle:
             handle.write(text if text.endswith("\n") else text + "\n")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")

@@ -214,6 +214,7 @@ def expand_in_phi(f: Poly, precision: int) -> PhiExpansion:
             coordinates=offending)
 
     family = PhiFamily(2, ())
+    monomials: dict[int, Poly] = {}  # m_j, built the first time j is subtracted
     residual = f
     exact: dict[int, Fraction] = {}
     trace: list[TraceStep] = []
@@ -230,8 +231,10 @@ def expand_in_phi(f: Poly, precision: int) -> PhiExpansion:
         for j in report.argmin:
             if j.bit_length() > len(family):
                 family = phi_family(2, j.bit_length())
+            if j not in monomials:
+                monomials[j] = phi_monomial(2, j, family).poly
             b = report.expansion[j]
-            residual = residual - phi_monomial(2, j, family).poly * b
+            residual = residual - monomials[j] * b
             exact[j] = exact.get(j, Fraction(0)) + b
             step_coeffs.append((j, b))
         trace.append(TraceStep(report.weight.value, report.argmin, tuple(step_coeffs)))

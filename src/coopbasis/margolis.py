@@ -309,23 +309,26 @@ def margolis_homology(complex_: M1Complex, i: int) -> tuple[HomologyEntry, ...]:
     unique reduced row echelon basis of that complement (leading
     coefficient 1, columns in the basis order of the slice).  For
     one-dimensional homology this is the least representative in that
-    ordering.
+    ordering.  Degrees run top-down, and P is read off the elimination one
+    Q_i above: its rows that lead in the first block span im Q_i in echelon form.
     """
     p = complex_.prime
     drop = q_degree_drop(p, i)
     entries = []
-    for degree in complex_.degrees():
+    image_pivots: dict[int, set[int]] = {}  # P of each degree, popped when used
+    for degree in reversed(complex_.degrees()):
         slice_ = complex_.degree_slice(degree)
-        image_pivots = _echelon(complex_.differential(i, degree + drop), p)
+        pivots = image_pivots.pop(degree, set())
         width = len(complex_.degree_slice(degree - drop))  # unit keys at P start here
         source = width + len(slice_)  # source keys start here
-        rows = _echelon(({**column, **({width + c: 1} if c in image_pivots else {}), source + c: 1}
+        rows = _echelon(({**column, **({width + c: 1} if c in pivots else {}), source + c: 1}
                          for c, column in enumerate(complex_.differential(i, degree))), p)
+        image_pivots[degree - drop] = {pivot for pivot in rows if pivot < width}
         generators = tuple(tuple((slice_[key - source], x) for key, x in sorted(row.items()))
                            for pivot, row in sorted(rows.items()) if pivot >= source)
         if generators:
             entries.append(HomologyEntry(degree, len(generators), generators))
-    return tuple(entries)
+    return tuple(reversed(entries))
 
 
 def is_cycle(i: int, cycle: Cycle) -> bool:

@@ -97,9 +97,10 @@ def test_expand_parse_error(capsys):
     assert code == 2
     assert "degree cap" in err
 
-    code, _, err = run(capsys, "expand", "--basis", "g", "[0.1]")
-    assert code == 2
-    assert "bad coefficient list" in err
+    for coefficients in ("[0.1]", '["1/0"]'):
+        code, _, err = run(capsys, "expand", "--basis", "g", coefficients)
+        assert code == 2
+        assert "bad coefficient list" in err
 
 
 def test_expand_accepts_coefficient_list(capsys):
@@ -228,6 +229,15 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["family"][0]["text"] == "(w - 1)/2"
+
+
+def test_out_file_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "g.json"
+    code, out, err = run(capsys, "g", "--n", "2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(target) in err
+    assert len(err.splitlines()) == 1
 
 
 def test_csv_not_available_for_expand(capsys):

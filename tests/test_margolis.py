@@ -214,6 +214,22 @@ def test_only_q0_and_q1_act(call, i):
         call(enumerate_m1(2, 4), i)
 
 
+@pytest.mark.parametrize("p, k", [(2, 20), (3, 30)])
+@pytest.mark.parametrize("i", [0, 1])
+def test_margolis_homology_eliminates_once_per_degree(monkeypatch, p, k, i):
+    complex_ = enumerate_m1(p, k)
+    calls = []
+    echelon = margolis._echelon
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return echelon(*args, **kwargs)
+
+    monkeypatch.setattr(margolis, "_echelon", counted)
+    margolis_homology(complex_, i)
+    assert len(calls) == len(complex_.degrees())
+
+
 def test_homologous_rejects_foreign_monomials():
     complex_ = enumerate_m1(2, 4)
     z18 = ((zeta(2, {1: 8}), 1),)

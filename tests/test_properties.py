@@ -3,12 +3,14 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopbasis import (GExpansion, Poly, Valuation, base_p_digits, digit_products, expand_in_g,
-                       is_semistable_2local, is_semistable_plocal_residues, nu_p, weight)
-from coopbasis.margolis import _echelon
+from coopbasis import (GExpansion, HomologyEntry, Poly, Valuation, base_p_digits,
+                       digit_products, enumerate_m1, expand_in_g, is_semistable_2local,
+                       is_semistable_plocal_residues, margolis_homology, nu_p, weight)
+from coopbasis.margolis import _echelon, q_degree_drop
 
 PROPERTY = settings(database=None, derandomize=True, deadline=None)
 
@@ -241,3 +243,33 @@ def test_sparse_echelon_matches_the_dense_reference(matrix):
     leading = {pivot: row for pivot, row in augmented.items() if pivot >= source}
     assert _dense(leading, ncols, source) == kernel
     assert len(leading) == ncols - len(_rref([*rows, *units], p)[1])
+    # its rows that lead in the image give the image's pivots, which margolis_homology reuses
+    columns = ({r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(ncols))
+    assert {pivot for pivot in augmented if pivot < nrows} == set(_echelon(columns, p))
+
+
+def _two_elimination_homology(complex_, i):
+    """margolis_homology with the image pivots taken from a separate elimination per degree."""
+    p = complex_.prime
+    drop = q_degree_drop(p, i)
+    entries = []
+    for degree in complex_.degrees():
+        slice_ = complex_.degree_slice(degree)
+        image_pivots = _echelon(complex_.differential(i, degree + drop), p)
+        width = len(complex_.degree_slice(degree - drop))
+        source = width + len(slice_)
+        rows = _echelon(({**column, **({width + c: 1} if c in image_pivots else {}), source + c: 1}
+                         for c, column in enumerate(complex_.differential(i, degree))), p)
+        generators = tuple(tuple((slice_[key - source], x) for key, x in sorted(row.items()))
+                           for pivot, row in sorted(rows.items()) if pivot >= source)
+        if generators:
+            entries.append(HomologyEntry(degree, len(generators), generators))
+    return tuple(entries)
+
+
+@pytest.mark.parametrize("p, max_k", [(2, 40), (3, 60), (5, 30), (7, 14)])
+def test_homology_matches_the_two_elimination_reference(p, max_k):
+    for k in range(max_k + 1):
+        complex_ = enumerate_m1(p, k)
+        for i in (0, 1):
+            assert margolis_homology(complex_, i) == _two_elimination_homology(complex_, i)
