@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+from typing import NoReturn
 
 from .arith import base_p_digits, require_prime
 from .errors import (NotSemistableError, PolyParseError, ResourceLimitError,
@@ -262,8 +263,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---- parser and dispatch --------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        if message.endswith("required: poly"):  # argparse takes "-6*w^2" for an option
+            message += " (a polynomial that starts with '-' goes last, after '--')"
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coopbasis",
         description="Exact workbench for the bases of p-local K-theory cooperations.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -11,10 +11,11 @@ generators: starting from
     p*lam_n      = sum_{0 <= i < n}  lam_i * v_{n-i}^(p^i)
     eta_R(lam_n) = sum_{0 <= i <= n} lam_i * t_{n-i}^(p^i)      (t_0 = 1)
 
-one kills u_k = eta_R(v_k) and v_k for k >= 2, substitutes the resulting
-closed form lam_n = v_1^((p^n-1)/(p-1)) / p^n, solves the relations
-successively for t_n, normalizes by v_1^(-(p^n-1)/(p-1)), and rewrites in
-w via u_1/v_1 = w^(p-1).  Both routes must agree exactly.
+one kills u_k = eta_R(v_k) and v_k for k >= 2, which leaves the closed form
+lam_n = v_1^((p^n-1)/(p-1)) / p^n and p*eta_R(lam_n) = eta_R(lam_(n-1)) * u_1^(p^(n-1)).
+Solved level by level, the relation at n has one unknown, t_n, linear with
+coefficient p; t_n is normalized by v_1^(-(p^n-1)/(p-1)) and rewritten in w
+via u_1/v_1 = w^(p-1).  Both routes must agree exactly.
 
 Products phi_1^{k_0} * phi_2^{k_1} * ... over the base-p digits k_i of k
 are the monomial generating set of the p-local cooperations module.
@@ -23,6 +24,7 @@ are the monomial generating set of the p-local cooperations module.
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -35,62 +37,72 @@ Monomial = tuple[tuple[str, int], ...]
 
 
 class SymbolicPoly:
-    """Minimal exact multivariate polynomial over Fraction.
+    """Minimal exact multivariate polynomial: integer numerators over one denominator.
 
-    Just enough ring structure for the generator elimination: named
-    indeterminates, ring operations, natural powers, and substitution.
+    Just enough ring structure for the generator elimination.  The form is
+    canonical (no zero numerators, den >= 1, gcd(den, *nums) == 1), so equal
+    polynomials store equal pairs; ``Fraction``s are built only when read.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_nums", "_den")
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None) -> None:
-        cleaned: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff:
-                    cleaned[mono] = coeff
-        self._terms = cleaned
+    def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None) -> None:
+        coeffs = {mono: exact_rational(c) for mono, c in (terms or {}).items()}
+        # the lcm of reduced denominators leaves gcd(den, *nums) == 1
+        self._den = math.lcm(*(c.denominator for c in coeffs.values()))
+        self._nums = {mono: c.numerator * (self._den // c.denominator)
+                      for mono, c in coeffs.items() if c}
+
+    @classmethod
+    def _canonical(cls, nums: dict[Monomial, int], den: int) -> "SymbolicPoly":
+        """The canonical sum(nums[m] * m) / den, for den >= 1."""
+        g = math.gcd(den, *nums.values())
+        poly = object.__new__(cls)
+        poly._nums = {mono: n // g for mono, n in nums.items() if n}
+        poly._den = den // g
+        return poly
 
     @classmethod
     def constant(cls, value: Fraction | int) -> "SymbolicPoly":
-        value = exact_rational(value)
-        return cls({(): value} if value else {})
+        return cls({(): value})
 
     @classmethod
     def variable(cls, name: str) -> "SymbolicPoly":
-        return cls({((name, 1),): Fraction(1)})
+        return cls._canonical({((name, 1),): 1}, 1)
 
     def terms(self) -> Iterable[tuple[Monomial, Fraction]]:
-        return self._terms.items()
+        return [(mono, Fraction(n, self._den)) for mono, n in self._nums.items()]
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def variables(self) -> set[str]:
-        return {name for mono in self._terms for name, _ in mono}
+        return {name for mono in self._nums for name, _ in mono}
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SymbolicPoly):
-            return self._terms == other._terms
+            return self._den == other._den and self._nums == other._nums
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self == SymbolicPoly.constant(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((frozenset(self._nums.items()), self._den))
 
     def __add__(self, other: "SymbolicPoly | Fraction | int") -> "SymbolicPoly":
         if not isinstance(other, SymbolicPoly):
             other = SymbolicPoly.constant(other)
-        merged = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            merged[mono] = merged.get(mono, Fraction(0)) + coeff
-        return SymbolicPoly(merged)
+        den = math.lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        merged = {mono: n * a for mono, n in self._nums.items()}
+        for mono, n in other._nums.items():
+            merged[mono] = merged.get(mono, 0) + n * b
+        return SymbolicPoly._canonical(merged, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SymbolicPoly":
-        return SymbolicPoly({m: -c for m, c in self._terms.items()})
+        return SymbolicPoly._canonical({m: -n for m, n in self._nums.items()}, self._den)
 
     def __sub__(self, other: "SymbolicPoly | Fraction | int") -> "SymbolicPoly":
         if not isinstance(other, SymbolicPoly):
@@ -110,13 +122,15 @@ class SymbolicPoly:
     def __mul__(self, other: "SymbolicPoly | Fraction | int") -> "SymbolicPoly":
         if not isinstance(other, SymbolicPoly):
             factor = exact_rational(other)
-            return SymbolicPoly({m: c * factor for m, c in self._terms.items()})
-        out: dict[Monomial, Fraction] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
+            return SymbolicPoly._canonical(
+                {m: n * factor.numerator for m, n in self._nums.items()},
+                self._den * factor.denominator)
+        out: dict[Monomial, int] = {}
+        for ma, a in self._nums.items():
+            for mb, b in other._nums.items():
                 mono = self._mono_mul(ma, mb)
-                out[mono] = out.get(mono, Fraction(0)) + ca * cb
-        return SymbolicPoly(out)
+                out[mono] = out.get(mono, 0) + a * b
+        return SymbolicPoly._canonical(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -134,37 +148,26 @@ class SymbolicPoly:
                 base = base * base
         return result
 
-    def substitute(self, name: str, replacement: "SymbolicPoly") -> "SymbolicPoly":
-        """Replace every occurrence of an indeterminate by a polynomial."""
-        acc = SymbolicPoly()
-        for mono, coeff in self._terms.items():
-            exps = dict(mono)
-            e = exps.pop(name, 0)
-            rest = SymbolicPoly({tuple(sorted(exps.items())): coeff})
-            acc = acc + (rest * replacement ** e if e else rest)
-        return acc
-
     def split_linear(self, name: str) -> tuple["SymbolicPoly", "SymbolicPoly"]:
         """Write self as head*name + tail with name absent from head and tail."""
-        head: dict[Monomial, Fraction] = {}
-        tail: dict[Monomial, Fraction] = {}
-        for mono, coeff in self._terms.items():
+        head: dict[Monomial, int] = {}
+        tail: dict[Monomial, int] = {}
+        for mono, n in self._nums.items():
             exps = dict(mono)
             e = exps.pop(name, 0)
             if e == 0:
-                tail[mono] = coeff
+                tail[mono] = n
             elif e == 1:
-                head_mono = tuple(sorted(exps.items()))
-                head[head_mono] = head.get(head_mono, Fraction(0)) + coeff
+                head[tuple(sorted(exps.items()))] = n
             else:
                 raise ValueError(f"{name} appears with exponent {e}; relation is not linear")
-        return SymbolicPoly(head), SymbolicPoly(tail)
+        return SymbolicPoly._canonical(head, self._den), SymbolicPoly._canonical(tail, self._den)
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._nums:
             return "SymbolicPoly(0)"
         parts = []
-        for mono, coeff in sorted(self._terms.items()):
+        for mono, coeff in sorted(self.terms()):
             factors = [str(coeff)] + [f"{n}^{e}" if e > 1 else n for n, e in mono]
             parts.append("*".join(factors))
         return "SymbolicPoly(" + " + ".join(parts) + ")"
@@ -238,11 +241,8 @@ def hazewinkel_t_solutions(p: int, count: int) -> list[SymbolicPoly]:
     InternalConsistencyError if any step leaves terms that cannot be
     normalized; that would indicate a bug, not bad input.
     """
-    require_prime(p)
-    if count < 1:
-        raise ValueError(f"need at least one generator, got {count}")
-    u = SymbolicPoly.variable("u1")
-    v = SymbolicPoly.variable("v1")
+    _check_family_size(p, count)
+    u, v = SymbolicPoly.variable("u1"), SymbolicPoly.variable("v1")
 
     lam = [SymbolicPoly.constant(1)]
     for n in range(1, count + 1):
@@ -250,23 +250,14 @@ def hazewinkel_t_solutions(p: int, count: int) -> list[SymbolicPoly]:
         if lam[n] * p ** n != v ** ((p ** n - 1) // (p - 1)):
             raise InternalConsistencyError(f"lam_{n} disagrees with its closed form")
 
-    def t_symbol(i: int) -> SymbolicPoly:
-        return SymbolicPoly.constant(1) if i == 0 else SymbolicPoly.variable(f"t{i}")
-
-    def eta_lambda(n: int) -> SymbolicPoly:
-        acc = SymbolicPoly()
-        for j in range(n + 1):
-            acc = acc + lam[j] * t_symbol(n - j) ** (p ** j)
-        return acc
-
     solutions: list[SymbolicPoly] = []
+    powers: list[SymbolicPoly] = []  # t_i^(p^(n-1-i)) for i = 1..n-1, from the level before
+    eta_prev = SymbolicPoly.constant(1)  # eta_R(lam_(n-1)), all of its t solved
     for n in range(1, count + 1):
-        if n == 1:
-            relation = eta_lambda(1) * p - u
-        else:
-            relation = eta_lambda(n) * p - eta_lambda(n - 1) * u ** (p ** (n - 1))
-        for i, solved in enumerate(solutions, start=1):
-            relation = relation.substitute(f"t{i}", solved)
+        powers = [t ** p for t in powers]
+        # eta_R(lam_n) less its t_n term: sum over 1 <= j <= n of lam_j * t_(n-j)^(p^j)
+        known = sum((lam[n - i] * t for i, t in enumerate(powers, start=1)), lam[n])
+        relation = (SymbolicPoly.variable(f"t{n}") + known) * p - eta_prev * u ** (p ** (n - 1))
         try:
             head, tail = relation.split_linear(f"t{n}")
         except ValueError as exc:
@@ -278,6 +269,8 @@ def hazewinkel_t_solutions(p: int, count: int) -> list[SymbolicPoly]:
             raise InternalConsistencyError(f"unresolved indeterminates in t{n}: "
                                            f"{sorted(solution.variables())}")
         solutions.append(solution)
+        powers.append(solution)
+        eta_prev = known + solution
     return solutions
 
 
@@ -298,7 +291,6 @@ def _normalized_t_to_poly(p: int, n: int, t_expr: SymbolicPoly) -> Poly:
 
 def phi_family_oracle(p: int, count: int) -> PhiFamily:
     """Independent construction of the family from the Hazewinkel formulas."""
-    _check_family_size(p, count)
     solutions = hazewinkel_t_solutions(p, count)
     return PhiFamily(p, tuple(_normalized_t_to_poly(p, n, t)
                               for n, t in enumerate(solutions, start=1)))

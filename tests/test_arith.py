@@ -19,6 +19,7 @@ def test_nu_p_examples():
     lambda x: Poly((1, x)),
     lambda x: Poly.one() * x,
     lambda x: SymbolicPoly.constant(x),
+    lambda x: SymbolicPoly({(("u1", 1),): x}),
     lambda x: SymbolicPoly.variable("v1") * x,
     lambda x: nu_p(2, x),
     lambda x: GExpansion({1: x}),

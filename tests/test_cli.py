@@ -131,6 +131,21 @@ def test_check_integrality_exit_codes(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [("weight", "-6*w^2"), ("expand", "--basis", "g", "-w^2"),
+                                  ("check-integrality", "--prime", "3", "-w")])
+def test_a_leading_minus_polynomial_is_pointed_to_the_double_dash(capsys, argv):
+    # argparse reads a leading "-" without a space as an option, so the usage error names "--"
+    *command, poly = argv
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "required: poly (a polynomial that starts with '-' goes last, after '--')" in err
+    code, out, err = run(capsys, *command, "--format", "json", "--", poly)
+    assert code == 0 and err == ""
+    assert run(capsys, *command, "--format", "json", " " + poly) == (code, out, err)
+
+
 def test_weight_report(capsys):
     code, out, _ = run(capsys, "weight", "w^2", "--format", "json")
     assert code == 0

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopbasis import (GExpansion, HomologyEntry, Poly, Valuation, base_p_digits,
-                       digit_products, enumerate_m1, expand_in_g, is_semistable_2local,
-                       is_semistable_plocal_residues, margolis_homology, nu_p, weight)
+from coopbasis import (GExpansion, HomologyEntry, Poly, SymbolicPoly, Valuation, base_p_digits,
+                       digit_products, enumerate_m1, expand_in_g, hazewinkel_t_solutions,
+                       is_semistable_2local, is_semistable_plocal_residues, margolis_homology,
+                       nu_p, weight)
 from coopbasis.margolis import _echelon, q_degree_drop
 
 PROPERTY = settings(database=None, derandomize=True, deadline=None)
@@ -273,3 +274,184 @@ def test_homology_matches_the_two_elimination_reference(p, max_k):
         complex_ = enumerate_m1(p, k)
         for i in (0, 1):
             assert margolis_homology(complex_, i) == _two_elimination_homology(complex_, i)
+
+
+class _FractionSymbolicPoly:
+    """The Fraction-per-term SymbolicPoly with substitution, kept as the reference."""
+
+    def __init__(self, terms=None):
+        self._terms = {mono: coeff for mono, coeff in (terms or {}).items() if coeff}
+
+    @classmethod
+    def constant(cls, value):
+        return cls({(): Fraction(value)})
+
+    @classmethod
+    def variable(cls, name):
+        return cls({((name, 1),): Fraction(1)})
+
+    def variables(self):
+        return {name for mono in self._terms for name, _ in mono}
+
+    def __eq__(self, other):
+        if not isinstance(other, _FractionSymbolicPoly):
+            other = _FractionSymbolicPoly.constant(other)
+        return self._terms == other._terms
+
+    def __add__(self, other):
+        if not isinstance(other, _FractionSymbolicPoly):
+            other = _FractionSymbolicPoly.constant(other)
+        merged = dict(self._terms)
+        for mono, coeff in other._terms.items():
+            merged[mono] = merged.get(mono, Fraction(0)) + coeff
+        return _FractionSymbolicPoly(merged)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _FractionSymbolicPoly({m: -c for m, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + -(other if isinstance(other, _FractionSymbolicPoly)
+                        else _FractionSymbolicPoly.constant(other))
+
+    def __rsub__(self, other):
+        return _FractionSymbolicPoly.constant(other) - self
+
+    def __mul__(self, other):
+        if not isinstance(other, _FractionSymbolicPoly):
+            return _FractionSymbolicPoly({m: c * other for m, c in self._terms.items()})
+        out = {}
+        for ma, ca in self._terms.items():
+            for mb, cb in other._terms.items():
+                exps = dict(ma)
+                for name, e in mb:
+                    exps[name] = exps.get(name, 0) + e
+                mono = tuple(sorted(exps.items()))
+                out[mono] = out.get(mono, Fraction(0)) + ca * cb
+        return _FractionSymbolicPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent):
+        result = _FractionSymbolicPoly.constant(1)
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def substitute(self, name, replacement):
+        acc = _FractionSymbolicPoly()
+        for mono, coeff in self._terms.items():
+            exps = dict(mono)
+            e = exps.pop(name, 0)
+            acc = acc + _FractionSymbolicPoly({tuple(sorted(exps.items())): coeff}) * replacement ** e
+        return acc
+
+    def split_linear(self, name):
+        head, tail = {}, {}
+        for mono, coeff in self._terms.items():
+            exps = dict(mono)
+            e = exps.pop(name, 0)
+            if e > 1:
+                raise ValueError(f"{name} appears with exponent {e}")
+            if e == 0:
+                tail[mono] = coeff
+            else:
+                head_mono = tuple(sorted(exps.items()))
+                head[head_mono] = head.get(head_mono, Fraction(0)) + coeff
+        return _FractionSymbolicPoly(head), _FractionSymbolicPoly(tail)
+
+
+def _substitution_t_solutions(p, count):
+    """t_1..t_count by substituting every solved t_i into each full relation."""
+    u, v = _FractionSymbolicPoly.variable("u1"), _FractionSymbolicPoly.variable("v1")
+    lam = [_FractionSymbolicPoly.constant(1)]
+    for n in range(1, count + 1):
+        lam.append(lam[n - 1] * v ** (p ** (n - 1)) * Fraction(1, p))
+
+    def eta_lambda(n):
+        acc = _FractionSymbolicPoly()
+        for j in range(n + 1):
+            t = _FractionSymbolicPoly.variable(f"t{n - j}") if j < n else 1
+            acc = acc + lam[j] * t ** (p ** j)
+        return acc
+
+    solutions = []
+    for n in range(1, count + 1):
+        relation = eta_lambda(n) * p - eta_lambda(n - 1) * u ** (p ** (n - 1))
+        for i, solved in enumerate(solutions, start=1):
+            relation = relation.substitute(f"t{i}", solved)
+        head, tail = relation.split_linear(f"t{n}")
+        assert head == p and tail.variables() <= {"u1", "v1"}
+        solutions.append(tail * Fraction(-1, p))
+    return solutions
+
+
+monomials = st.lists(st.tuples(st.sampled_from(("t1", "u1", "v1")), st.integers(1, 2)),
+                     max_size=3).map(lambda factors: tuple(sorted(dict(factors).items())))
+symbolic_terms = st.dictionaries(monomials, rationals, max_size=4)
+
+
+def _pair(terms):
+    return SymbolicPoly(terms), _FractionSymbolicPoly(terms)
+
+
+def _assert_matches(poly, reference):
+    assert dict(poly.terms()) == reference._terms
+    assert all(type(c) is Fraction for _, c in poly.terms())
+    # the canonical pair: no zero numerator, den >= 1 and gcd(den, *nums) == 1
+    nums, den = poly._nums, poly._den
+    assert den >= 1 and math.gcd(den, *nums.values()) == 1 and 0 not in nums.values()
+
+
+@PROPERTY
+@given(symbolic_terms, symbolic_terms, symbolic_terms, rationals, st.integers(0, 3))
+def test_symbolic_ring_operations_match_the_fraction_reference(f, g, h, c, e):
+    (F, RF), (G, RG), (H, RH) = _pair(f), _pair(g), _pair(h)
+    _assert_matches(F, RF)
+    for result, reference in ((F + G, RF + RG), (F - G, RF - RG), (-F, -RF), (F * G, RF * RG),
+                              (F * c, RF * c), (c * F, RF * c), (F + c, RF + c),
+                              (3 - F, 3 - RF), (F ** e, RF ** e), (F * (G + H), RF * (RG + RH))):
+        _assert_matches(result, reference)
+    assert (F * G) * H == F * (G * H) and F * G == G * F and (F + G) + H == F + (G + H)
+    assert F * (G + H) == F * G + F * H
+    assert hash(F * (G + H)) == hash(F * G + F * H)
+    assert (F == G) == (RF == RG) and (F == c) == (RF == c)
+    assert F == SymbolicPoly(dict(F.terms())) and hash(F) == hash(SymbolicPoly(dict(F.terms())))
+    assert (F - F).is_zero() and F.variables() == RF.variables()
+
+
+@PROPERTY
+@given(symbolic_terms)
+def test_split_linear_matches_the_fraction_reference(f):
+    F, RF = _pair(f)
+    try:
+        expected = RF.split_linear("t1")
+    except ValueError:
+        with pytest.raises(ValueError):
+            F.split_linear("t1")
+        return
+    for part, reference in zip(F.split_linear("t1"), expected):
+        _assert_matches(part, reference)
+
+
+@pytest.mark.parametrize("p, count", [(2, 7), (3, 4), (5, 3), (7, 2)])
+def test_hazewinkel_solutions_match_the_substitution_reference(p, count):
+    reference = [t._terms for t in _substitution_t_solutions(p, count)]
+    for n in range(1, count + 1):
+        assert [dict(t.terms()) for t in hazewinkel_t_solutions(p, n)] == reference[:n]
+
+
+def test_hazewinkel_solutions_build_few_fractions(monkeypatch):
+    built = []
+    make = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return make(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    solutions = hazewinkel_t_solutions(2, 6)
+    monkeypatch.undo()
+    assert len(built) <= 100  # one per term per operation made 27,768
+    assert solutions[0] == (SymbolicPoly.variable("u1") - SymbolicPoly.variable("v1")) * Fraction(1, 2)

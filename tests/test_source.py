@@ -30,3 +30,25 @@ def test_package_has_one_cache_on_g_poly():
                 cached.append((path.name, node.name))
     assert cached == [("semistable.py", "g_poly")]
     assert len(mentions) == 1, mentions
+
+
+def test_hazewinkel_oracle_shares_no_code_with_poly():
+    # the oracle checks the Poly recursion, so it must not run on Poly or any function of poly.py
+    poly_tree = ast.parse((PACKAGE / "poly.py").read_text(encoding="utf-8"))
+    poly_names = {node.name for node in poly_tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    phi_tree = ast.parse((PACKAGE / "phi.py").read_text(encoding="utf-8"))
+    defined = {node.name: node for node in phi_tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    pending, seen, used = ["SymbolicPoly", "hazewinkel_t_solutions"], set(), set()
+    while pending:  # follow calls into phi.py's own helpers, such as _check_family_size
+        name = pending.pop()
+        seen.add(name)
+        for node in ast.walk(defined[name]):
+            found = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            used.add(found)
+            if found in defined and found not in seen:
+                pending.append(found)
+    assert "Poly" in poly_names and "_reduced" in poly_names
+    assert seen >= {"SymbolicPoly", "hazewinkel_t_solutions", "_check_family_size"}
+    assert used & poly_names == set()
