@@ -38,6 +38,9 @@ def is_prime(n: int) -> bool:
 
 
 def require_prime(p: int) -> None:
+    """ValueError unless p is a prime below 2^32; the bound is checked before trial division."""
+    if isinstance(p, int) and p >= 1 << 32:
+        raise ValueError(f"expected a prime below 2^32, got {p}")
     if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
         raise ValueError(f"expected a prime, got {p!r}")
 

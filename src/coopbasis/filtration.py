@@ -54,7 +54,7 @@ def weight_value(f: Poly) -> Valuation:
 
 def congruent_mod_higher_af(a: Poly, b: Poly) -> bool:
     """True iff a and b agree modulo higher filtration (in the W sense)."""
-    return _check_pair("", 0, expand_in_g(a), expand_in_g(b)).passed
+    return _check_pair("", 0, _coordinates(a), _coordinates(b)).passed
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,12 +73,16 @@ def _as_optional_int(v: Valuation) -> int | None:
     return None if v.is_infinite else v.value
 
 
-def _check_pair(claim: str, n: int, lhs: GExpansion, rhs: GExpansion,
-                divisor: int = 1) -> CongruenceCheck:
-    """Compare lhs with rhs / divisor; a divisor scales the denominator, and lhs - rhs / divisor
-    has integer numerators over the product of the two denominators."""
-    a, a_den = lhs.as_integer_ratio()
-    b, b_den = rhs.as_integer_ratio()
+def _coordinates(f: Poly) -> tuple[tuple[int, ...], int]:
+    """The g-coordinates of f as ``(nums, den)``."""
+    return expand_in_g(f).as_integer_ratio()
+
+
+def _check_pair(claim: str, n: int, lhs: tuple[tuple[int, ...], int],
+                rhs: tuple[tuple[int, ...], int], divisor: int = 1) -> CongruenceCheck:
+    """Compare g-coordinates ``(nums, den)`` lhs with rhs / divisor; a divisor scales the
+    denominator, and lhs - rhs / divisor has integer numerators over the product of the two."""
+    (a, a_den), (b, b_den) = lhs, rhs
     b_den *= divisor
     w_lhs = _weigh(a, a_den)[0]
     w_rhs = _weigh(b, b_den)[0]
@@ -103,20 +107,20 @@ def verify_congruences(max_n: int, family: PhiFamily) -> list[CongruenceCheck]:
 
     where n = sum n_i 2^i is the binary expansion; max_n = 0 gives no checks.
     ``family`` must hold phi_1..phi_(max_n.bit_length()) at p = 2, and the
-    caller tests its integrality.  Each polynomial is expanded in the g-basis
-    once: ``expand_in_g`` is linear, so W(lhs - rhs) is read from the
-    difference of the two coordinate vectors.  Failures are reported, not raised.
+    caller tests its integrality.  g_n has the coordinates e_n, and every other
+    polynomial is expanded in the g-basis once: ``expand_in_g`` is linear, so
+    W(lhs - rhs) is read from the coordinate difference.  Failures are reported, not raised.
     """
     if max_n < 0:
         raise ValueError(f"expected max_n >= 0, got {max_n}")
     top = max_n.bit_length()
-    phi = [expand_in_g(family.phi(n)) for n in range(1, top + 1)]
-    g = [expand_in_g(g_poly(n)) for n in range(max_n + 1)]
+    phi = [_coordinates(family.phi(n)) for n in range(1, top + 1)]
+    g = [((0,) * n + (1,), 1) for n in range(max_n + 1)]
     power = Poly.one()
-    phi1_powers = [expand_in_g(power)]  # phi_1^0 .. phi_1^max_n; 2^(top-1) <= max_n
+    phi1_powers = [_coordinates(power)]  # phi_1^0 .. phi_1^max_n; 2^(top-1) <= max_n
     for _ in range(max_n):
         power = power * family.phi(1)
-        phi1_powers.append(expand_in_g(power))
+        phi1_powers.append(_coordinates(power))
     checks: list[CongruenceCheck] = []
 
     for n in range(1, top + 1):
@@ -137,11 +141,11 @@ def verify_congruences(max_n: int, family: PhiFamily) -> list[CongruenceCheck]:
 
     g_products = digit_products(2, [g_poly(1 << i) for i in range(top)], max_n + 1)
     for n, product in enumerate(g_products[1:], start=1):
-        checks.append(_check_pair("g_vs_g_digit_product", n, g[n], expand_in_g(product)))
+        checks.append(_check_pair("g_vs_g_digit_product", n, g[n], _coordinates(product)))
 
     monomials = phi_monomials(2, max_n + 1, family)
     for n, monomial in enumerate(monomials[1:], start=1):
-        checks.append(_check_pair("g_vs_phi_monomial", n, g[n], expand_in_g(monomial.poly)))
+        checks.append(_check_pair("g_vs_phi_monomial", n, g[n], _coordinates(monomial.poly)))
 
     return checks
 

@@ -44,11 +44,15 @@ class SteenrodMonomial:
         require_prime(prime)
         exps = {}
         for index, e in dict(zeta).items():
+            if type(index) is not int or type(e) is not int:  # a plain type test refuses bool too
+                raise TypeError(f"zeta index and exponent must be ints, got z{index!r}^{e!r}")
             if e < 0 or index < 1:
                 raise ValueError(f"bad zeta power z{index}^{e}")
             if e:
                 exps[index] = e
         taus = tuple(sorted(tau))
+        if taus and any(type(index) is not int for index in taus):
+            raise TypeError(f"tau indices must be ints, got {taus!r}")
         if prime == 2:
             if taus:
                 raise ValueError("tau generators only exist at odd primes")

@@ -11,11 +11,11 @@ generators: starting from
     p*lam_n      = sum_{0 <= i < n}  lam_i * v_{n-i}^(p^i)
     eta_R(lam_n) = sum_{0 <= i <= n} lam_i * t_{n-i}^(p^i)      (t_0 = 1)
 
-one kills u_k = eta_R(v_k) and v_k for k >= 2, which leaves the closed form
-lam_n = v_1^((p^n-1)/(p-1)) / p^n and p*eta_R(lam_n) = eta_R(lam_(n-1)) * u_1^(p^(n-1)).
-Solved level by level, the relation at n has one unknown, t_n, linear with
-coefficient p; t_n is normalized by v_1^(-(p^n-1)/(p-1)) and rewritten in w
-via u_1/v_1 = w^(p-1).  Both routes must agree exactly.
+one kills u_k = eta_R(v_k) and v_k for k >= 2, which leaves the closed forms
+lam_n = v_1^((p^n-1)/(p-1)) / p^n and eta_R(lam_n) = u_1^((p^n-1)/(p-1)) / p^n.
+So t_n = eta_R(lam_n) - sum_{1 <= i <= n} lam_i * t_{n-i}^(p^i) is a polynomial
+in u_1 and v_1 once t_1..t_(n-1) are; it is normalized by v_1^(-(p^n-1)/(p-1))
+and rewritten in w via u_1/v_1 = w^(p-1).  Both routes must agree exactly.
 
 Products phi_1^{k_0} * phi_2^{k_1} * ... over the base-p digits k_i of k
 are the monomial generating set of the p-local cooperations module.
@@ -34,31 +34,43 @@ from .poly import DEFAULT_MAX_DEGREE, Poly
 from .semistable import DEFAULT_RESIDUE_BUDGET, integrality_verdicts
 
 Monomial = tuple[tuple[str, int], ...]
+_NAMES = ("u1", "v1")
+
+
+def _exponents(mono: Monomial) -> tuple[int, int]:
+    """The exponent pair (a, b) of the named monomial u1^a * v1^b."""
+    if any(name not in _NAMES for name, _ in mono):
+        raise ValueError(f"SymbolicPoly is a polynomial in u1 and v1, got the monomial {mono!r}")
+    return sum(e for name, e in mono if name == "u1"), sum(e for name, e in mono if name == "v1")
 
 
 class SymbolicPoly:
-    """Minimal exact multivariate polynomial: integer numerators over one denominator.
+    """Exact polynomial in u1 and v1: integer numerators over one denominator.
 
-    Just enough ring structure for the generator elimination.  The form is
-    canonical (no zero numerators, den >= 1, gcd(den, *nums) == 1), so equal
-    polynomials store equal pairs; ``Fraction``s are built only when read.
+    Just enough ring structure for the Hazewinkel formulas.  Numerators are
+    keyed by the exponent pair (a, b) of u1^a * v1^b, so multiplying two
+    terms adds their pairs.  The form is canonical (no zero numerators,
+    den >= 1, gcd(den, *nums) == 1), so equal polynomials store equal pairs;
+    named monomials and ``Fraction``s are built only when read.
     """
 
     __slots__ = ("_nums", "_den")
 
     def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None) -> None:
-        coeffs = {mono: exact_rational(c) for mono, c in (terms or {}).items()}
-        # the lcm of reduced denominators leaves gcd(den, *nums) == 1
-        self._den = math.lcm(*(c.denominator for c in coeffs.values()))
-        self._nums = {mono: c.numerator * (self._den // c.denominator)
-                      for mono, c in coeffs.items() if c}
+        coeffs = [(_exponents(mono), exact_rational(c)) for mono, c in (terms or {}).items()]
+        den = math.lcm(*(c.denominator for _, c in coeffs))
+        nums: dict[tuple[int, int], int] = {}
+        for key, c in coeffs:
+            nums[key] = nums.get(key, 0) + c.numerator * (den // c.denominator)
+        canonical = self._canonical(nums, den)
+        self._nums, self._den = canonical._nums, canonical._den
 
     @classmethod
-    def _canonical(cls, nums: dict[Monomial, int], den: int) -> "SymbolicPoly":
-        """The canonical sum(nums[m] * m) / den, for den >= 1."""
+    def _canonical(cls, nums: dict[tuple[int, int], int], den: int) -> "SymbolicPoly":
+        """The canonical sum(nums[a, b] * u1^a * v1^b) / den, for den >= 1."""
         g = math.gcd(den, *nums.values())
         poly = object.__new__(cls)
-        poly._nums = {mono: n // g for mono, n in nums.items() if n}
+        poly._nums = {key: n // g for key, n in nums.items() if n}
         poly._den = den // g
         return poly
 
@@ -68,16 +80,14 @@ class SymbolicPoly:
 
     @classmethod
     def variable(cls, name: str) -> "SymbolicPoly":
-        return cls._canonical({((name, 1),): 1}, 1)
+        return cls({((name, 1),): 1})
 
     def terms(self) -> Iterable[tuple[Monomial, Fraction]]:
-        return [(mono, Fraction(n, self._den)) for mono, n in self._nums.items()]
+        return [(tuple((name, e) for name, e in zip(_NAMES, key) if e), Fraction(n, self._den))
+                for key, n in self._nums.items()]
 
     def is_zero(self) -> bool:
         return not self._nums
-
-    def variables(self) -> set[str]:
-        return {name for mono in self._nums for name, _ in mono}
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SymbolicPoly):
@@ -112,24 +122,17 @@ class SymbolicPoly:
     def __rsub__(self, other: "Fraction | int") -> "SymbolicPoly":
         return SymbolicPoly.constant(other) - self
 
-    @staticmethod
-    def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-        exps = dict(a)
-        for name, e in b:
-            exps[name] = exps.get(name, 0) + e
-        return tuple(sorted(exps.items()))
-
     def __mul__(self, other: "SymbolicPoly | Fraction | int") -> "SymbolicPoly":
         if not isinstance(other, SymbolicPoly):
             factor = exact_rational(other)
             return SymbolicPoly._canonical(
                 {m: n * factor.numerator for m, n in self._nums.items()},
                 self._den * factor.denominator)
-        out: dict[Monomial, int] = {}
-        for ma, a in self._nums.items():
-            for mb, b in other._nums.items():
-                mono = self._mono_mul(ma, mb)
-                out[mono] = out.get(mono, 0) + a * b
+        out: dict[tuple[int, int], int] = {}
+        for (a1, b1), x in self._nums.items():
+            for (a2, b2), y in other._nums.items():
+                key = (a1 + a2, b1 + b2)
+                out[key] = out.get(key, 0) + x * y
         return SymbolicPoly._canonical(out, self._den * other._den)
 
     __rmul__ = __mul__
@@ -147,21 +150,6 @@ class SymbolicPoly:
             if e:
                 base = base * base
         return result
-
-    def split_linear(self, name: str) -> tuple["SymbolicPoly", "SymbolicPoly"]:
-        """Write self as head*name + tail with name absent from head and tail."""
-        head: dict[Monomial, int] = {}
-        tail: dict[Monomial, int] = {}
-        for mono, n in self._nums.items():
-            exps = dict(mono)
-            e = exps.pop(name, 0)
-            if e == 0:
-                tail[mono] = n
-            elif e == 1:
-                head[tuple(sorted(exps.items()))] = n
-            else:
-                raise ValueError(f"{name} appears with exponent {e}; relation is not linear")
-        return SymbolicPoly._canonical(head, self._den), SymbolicPoly._canonical(tail, self._den)
 
     def __repr__(self) -> str:
         if not self._nums:
@@ -235,42 +223,29 @@ def phi_family(p: int, count: int, *, residue_budget: int = DEFAULT_RESIDUE_BUDG
 
 
 def hazewinkel_t_solutions(p: int, count: int) -> list[SymbolicPoly]:
-    """Solve for t_1..t_count as exact polynomials in u1 and v1.
+    """t_1..t_count as exact polynomials in u1 and v1, from the Hazewinkel formulas.
 
-    Follows the elimination sketched in the module docstring.  Raises
-    InternalConsistencyError if any step leaves terms that cannot be
-    normalized; that would indicate a bug, not bad input.
+    lam_n = lam_(n-1) * v1^(p^(n-1)) / p, and eta_R(lam_n) follows the same
+    recursion in u1; both are checked against their closed forms.  Then
+    t_n = eta_R(lam_n) - sum_{1 <= j <= n} lam_j * t_(n-j)^(p^j), with t_0 = 1.
     """
     _check_family_size(p, count)
-    u, v = SymbolicPoly.variable("u1"), SymbolicPoly.variable("v1")
-
-    lam = [SymbolicPoly.constant(1)]
+    lam, eta = [SymbolicPoly.constant(1)], [SymbolicPoly.constant(1)]
     for n in range(1, count + 1):
-        lam.append(lam[n - 1] * v ** (p ** (n - 1)) * Fraction(1, p))
-        if lam[n] * p ** n != v ** ((p ** n - 1) // (p - 1)):
-            raise InternalConsistencyError(f"lam_{n} disagrees with its closed form")
+        span = (p ** n - 1) // (p - 1)
+        for series, name in ((lam, "v1"), (eta, "u1")):
+            series.append(series[n - 1] * SymbolicPoly({((name, p ** (n - 1)),): Fraction(1, p)}))
+            if series[n] != SymbolicPoly({((name, span),): Fraction(1, p ** n)}):
+                raise InternalConsistencyError(f"lam_{n} or eta_R(lam_{n}) is not its closed form")
 
     solutions: list[SymbolicPoly] = []
     powers: list[SymbolicPoly] = []  # t_i^(p^(n-1-i)) for i = 1..n-1, from the level before
-    eta_prev = SymbolicPoly.constant(1)  # eta_R(lam_(n-1)), all of its t solved
     for n in range(1, count + 1):
         powers = [t ** p for t in powers]
-        # eta_R(lam_n) less its t_n term: sum over 1 <= j <= n of lam_j * t_(n-j)^(p^j)
-        known = sum((lam[n - i] * t for i, t in enumerate(powers, start=1)), lam[n])
-        relation = (SymbolicPoly.variable(f"t{n}") + known) * p - eta_prev * u ** (p ** (n - 1))
-        try:
-            head, tail = relation.split_linear(f"t{n}")
-        except ValueError as exc:
-            raise InternalConsistencyError(str(exc)) from exc
-        if head != SymbolicPoly.constant(p):
-            raise InternalConsistencyError(f"t{n} does not occur with unit coefficient p")
-        solution = tail * Fraction(-1, p)
-        if not solution.variables() <= {"u1", "v1"}:
-            raise InternalConsistencyError(f"unresolved indeterminates in t{n}: "
-                                           f"{sorted(solution.variables())}")
-        solutions.append(solution)
-        powers.append(solution)
-        eta_prev = known + solution
+        # the sum over 1 <= j <= n of lam_j * t_(n-j)^(p^j), with t_0 = 1
+        rest = sum((lam[n - i] * t for i, t in enumerate(powers, start=1)), lam[n])
+        solutions.append(eta[n] - rest)
+        powers.append(solutions[-1])
     return solutions
 
 
@@ -278,14 +253,11 @@ def _normalized_t_to_poly(p: int, n: int, t_expr: SymbolicPoly) -> Poly:
     """Rewrite v1^(-(p^n-1)/(p-1)) * t_n in w, using u1/v1 = w^(p-1)."""
     span = (p ** n - 1) // (p - 1)
     coeffs = [Fraction(0)] * (p ** n - 1 + 1)
-    for mono, coeff in t_expr.terms():
-        exps = dict(mono)
-        a = exps.pop("u1", 0)
-        b = exps.pop("v1", 0)
-        if exps or a + b != span:
+    for (a, b), num in t_expr._nums.items():
+        if a + b != span:
             raise InternalConsistencyError(
-                f"t{n} term {mono} is not homogeneous of degree {span} in u1, v1")
-        coeffs[a * (p - 1)] += coeff
+                f"t{n} term u1^{a}*v1^{b} is not homogeneous of degree {span} in u1, v1")
+        coeffs[a * (p - 1)] = Fraction(num, t_expr._den)
     return Poly(coeffs)
 
 

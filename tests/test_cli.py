@@ -4,7 +4,7 @@ import json
 import pytest
 
 from coopbasis import DEFAULT_MAX_DEGREE, GExpansion, Poly, expand_in_g, phi_family
-from coopbasis import cli, filtration, phi, semistable
+from coopbasis import arith, cli, filtration, phi, semistable
 from coopbasis.cli import main
 
 
@@ -34,6 +34,20 @@ def test_phi_resource_error_exits_2(capsys):
     code, _, err = run(capsys, "phi", "--prime", "7", "--n", "9")
     assert code == 2
     assert "degree" in err
+
+
+def test_a_prime_from_2_to_the_32_exits_2_before_trial_division(capsys, monkeypatch):
+    arith.require_prime(4294967291)  # the largest prime below 2^32 passes
+
+    def no_trial_division(n):
+        raise AssertionError(f"is_prime({n}) ran")
+
+    monkeypatch.setattr(arith, "is_prime", no_trial_division)
+    code, out, err = run(capsys, "phi", "--prime", "2305843009213693951", "--n", "1")
+    assert (code, out) == (2, "")
+    assert "below 2^32" in err
+    with pytest.raises(ValueError, match="below 2\\^32"):
+        arith.require_prime(2 ** 32)
 
 
 def test_phi_reports_members_over_the_residue_budget(capsys):
@@ -315,6 +329,6 @@ def test_verify_builds_each_object_once(capsys, monkeypatch):
                      "--format", "json")
     assert code == 0
     assert calls["phi_family"] == 1
-    assert calls["expand_in_g"] <= 225
+    assert calls["expand_in_g"] <= 170
     assert calls["suite.weight"] == 0
     assert calls["suite.sub"] == 0

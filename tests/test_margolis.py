@@ -2,6 +2,7 @@ import gc
 import inspect
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -26,6 +27,10 @@ def test_monomial_validation():
         SteenrodMonomial(2, {}, (2,))  # no tau at p=2
     with pytest.raises(ValueError):
         SteenrodMonomial(3, {}, (1,))  # tau indices start at 2
+    for zeta_exps, taus in (({1: 1.5}, ()), ({1: True}, ()), ({True: 2}, ()), ({2.0: 2}, ()),
+                            ({}, (2.0,)), ({}, (True, 2)), ({1: Fraction(2)}, ())):
+        with pytest.raises(TypeError):
+            SteenrodMonomial(3, zeta_exps, taus)
     m = SteenrodMonomial(3, {1: 2}, (2, 3))
     assert m.weight() == 2 * 3 + 9 + 27
     assert m.degree() == 2 * (2 * (3 - 1)) + (2 * 9 - 1) + (2 * 27 - 1)

@@ -159,11 +159,15 @@ def test_symbolic_poly_basics():
     u = SymbolicPoly.variable("u1")
     v = SymbolicPoly.variable("v1")
     assert (u + v) * (u - v) == u ** 2 - v ** 2
-    head, tail = (2 * u + v * v + 3).split_linear("u1")
-    assert head == SymbolicPoly.constant(2)
-    assert tail == v ** 2 + 3
-    with pytest.raises(ValueError):
-        (u ** 2).split_linear("u1")
+
+
+@pytest.mark.parametrize("terms", [{(("t1", 1),): 1}, {(("u1", 1), ("u2", 1)): 3},
+                                   {(("w", 0),): 1}])
+def test_symbolic_poly_takes_only_u1_and_v1(terms):
+    with pytest.raises(ValueError, match="u1 and v1"):
+        SymbolicPoly(terms)
+    with pytest.raises(ValueError, match="u1 and v1"):
+        SymbolicPoly.variable(next(iter(terms))[-1][0])
 
 
 def test_oracle_normalization_rejects_inhomogeneous_terms():

@@ -1,0 +1,31 @@
+"""Byte identity of large CLI outputs, replayed in-process through ``cli.main``.
+
+tests/data/verify_sha256.json pins the SHA-256 of stdout and stderr and the
+exit code of runs larger than the clibench references: ``verify --format
+json`` at four primes and ``phi --prime 3 --n 6``.  A change meant to keep
+every output must keep these hashes.
+"""
+
+import hashlib
+import json
+import pathlib
+
+import pytest
+
+from coopbasis.cli import main
+
+PINNED = json.loads((pathlib.Path(__file__).parent / "data" / "verify_sha256.json").read_text())
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", PINNED, ids=lambda case: " ".join(case["argv"]))
+def test_output_is_byte_identical_to_the_pinned_hashes(capsys, monkeypatch, case):
+    monkeypatch.delenv("COOPBASIS_BUDGET", raising=False)
+    code = main(case["argv"])
+    captured = capsys.readouterr()
+    assert code == case["exit"]
+    assert _sha256(captured.out) == case["stdout_sha256"]
+    assert _sha256(captured.err) == case["stderr_sha256"]
