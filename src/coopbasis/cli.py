@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from typing import NoReturn
 
@@ -32,23 +31,21 @@ EXIT_OK = 0
 EXIT_MATH_FAILURE = 1
 EXIT_USAGE = 2
 
-BUDGET_ENV_VAR = "COOPBASIS_BUDGET"
+G_EXPANSION_MAX_DEGREE = 1000  # expand_in_g costs about d^3
 
 
 def _resolve_budget(args: argparse.Namespace) -> int:
-    if getattr(args, "budget", None) is not None:
-        value = args.budget
-    else:
-        raw = os.environ.get(BUDGET_ENV_VAR)
-        if raw is None:
-            return DEFAULT_RESIDUE_BUDGET
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}")
-    if value <= 0:
-        raise ValueError(f"budget must be positive, got {value}")
-    return value
+    if args.budget <= 0:
+        raise ValueError(f"budget must be positive, got {args.budget}")
+    return args.budget
+
+
+def _g_expandable(f: Poly) -> Poly:
+    if f.degree > G_EXPANSION_MAX_DEGREE:
+        raise ResourceLimitError(
+            f"input has degree {f.degree}, over the g-expansion cap {G_EXPANSION_MAX_DEGREE}",
+            required=f.degree, budget=G_EXPANSION_MAX_DEGREE)
+    return f
 
 
 def _parse_poly_arg(text: str) -> Poly:
@@ -126,7 +123,7 @@ def cmd_g(args: argparse.Namespace) -> int:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    f = _parse_poly_arg(args.poly)
+    f = _g_expandable(_parse_poly_arg(args.poly))
     if args.basis == "g":
         expansion = expand_in_g(f)
         payload = expansion.to_json()
@@ -149,7 +146,7 @@ def cmd_check_integrality(args: argparse.Namespace) -> int:
     budget = _resolve_budget(args)
     if args.prime == 2:
         method = "g-expansion"
-        integral = is_semistable_2local(f)
+        integral = is_semistable_2local(_g_expandable(f))
     else:
         method = "residues"
         integral = is_semistable_plocal_residues(args.prime, f, budget=budget)
@@ -161,7 +158,7 @@ def cmd_check_integrality(args: argparse.Namespace) -> int:
 def cmd_weight(args: argparse.Namespace) -> int:
     if args.prime != 2:
         raise ValueError("the weight calculus is defined at p = 2 only")
-    f = _parse_poly_arg(args.poly)
+    f = _g_expandable(_parse_poly_arg(args.poly))
     report = weight(f)
     value = None if report.weight.is_infinite else report.weight.value
     payload = {"weight": value, "argmin": list(report.argmin),
@@ -280,9 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
         if prime_default is not None:
             p.add_argument("--prime", type=int, default=prime_default,
                            help="prime of localization (default %(default)s)")
-        p.add_argument("--budget", type=int, default=None,
-                       help=f"residue/enumeration cap (default {DEFAULT_RESIDUE_BUDGET}, "
-                            f"or ${BUDGET_ENV_VAR})")
+        p.add_argument("--budget", type=int, default=DEFAULT_RESIDUE_BUDGET,
+                       help="residue/enumeration cap (default %(default)s)")
         p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
         p.add_argument("--out", default=None, help="write output to FILE instead of stdout")
 

@@ -306,33 +306,37 @@ class HomologyEntry:
 def margolis_homology(complex_: M1Complex, i: int) -> tuple[HomologyEntry, ...]:
     """ker Q_i / im Q_i per internal degree, with canonical representative cycles.
 
-    Since Q_i Q_i = 0, the kernel vectors that vanish at the pivots P of
-    im Q_i form a complement of the image in the kernel.  Each source
-    position c gives the vector (Q_i e_c, e_c at P, e_c), with the source
-    positions ordered last; the echelon rows that lead there are the
-    unique reduced row echelon basis of that complement (leading
-    coefficient 1, columns in the basis order of the slice).  For
-    one-dimensional homology this is the least representative in that
-    ordering.  Degrees run top-down, and P is read off the elimination one
-    Q_i above: its rows that lead in the first block span im Q_i in echelon form.
+    A plain elimination of the Q_i columns out of each degree gives the pivots
+    P of im Q_i one |Q_i| below.  As Q_i Q_i = 0, dim H_d = n_d - rank out of
+    d - rank into d.  Only where that is not zero does each source position c
+    give the vector (Q_i e_c, e_c at P, e_c), source positions ordered last.
+    The echelon rows that lead there are the unique reduced row echelon basis
+    of the kernel vectors that vanish at P, a complement of the image (leading
+    coefficient 1, columns in the basis order of the slice); for
+    one-dimensional homology this is the least representative in that ordering.
     """
     p = complex_.prime
     drop = q_degree_drop(p, i)
+    image_pivots = {degree - drop: set(_echelon(complex_.differential(i, degree), p))
+                    for degree in complex_.degrees()}
     entries = []
-    image_pivots: dict[int, set[int]] = {}  # P of each degree, popped when used
-    for degree in reversed(complex_.degrees()):
+    for degree in complex_.degrees():
         slice_ = complex_.degree_slice(degree)
-        pivots = image_pivots.pop(degree, set())
+        pivots = image_pivots.get(degree, set())
+        dimension = len(slice_) - len(image_pivots[degree - drop]) - len(pivots)
+        if not dimension:
+            continue
         width = len(complex_.degree_slice(degree - drop))  # unit keys at P start here
         source = width + len(slice_)  # source keys start here
         rows = _echelon(({**column, **({width + c: 1} if c in pivots else {}), source + c: 1}
                          for c, column in enumerate(complex_.differential(i, degree))), p)
-        image_pivots[degree - drop] = {pivot for pivot in rows if pivot < width}
         generators = tuple(tuple((slice_[key - source], x) for key, x in sorted(row.items()))
                            for pivot, row in sorted(rows.items()) if pivot >= source)
-        if generators:
-            entries.append(HomologyEntry(degree, len(generators), generators))
-    return tuple(reversed(entries))
+        if len(generators) != dimension:
+            raise InternalConsistencyError(f"Q{i} at degree {degree}: {len(generators)} "
+                                           f"generators, but the ranks give {dimension}")
+        entries.append(HomologyEntry(degree, dimension, generators))
+    return tuple(entries)
 
 
 def is_cycle(i: int, cycle: Cycle) -> bool:

@@ -185,9 +185,8 @@ def test_margolis_json(capsys):
 
 
 @pytest.mark.parametrize("k", ["238", "1000000000"])
-def test_margolis_over_the_enumeration_budget_exits_2(capsys, monkeypatch, k):
+def test_margolis_over_the_enumeration_budget_exits_2(capsys, k):
     # the p = 2 piece at k = 238 is the first with more than 10^7 monomials (10,141,205)
-    monkeypatch.delenv("COOPBASIS_BUDGET", raising=False)
     code, _, err = run(capsys, "margolis", "--k", k)
     assert code == 2
     assert f"k={k} exceeds enumeration budget 10000000" in err
@@ -230,24 +229,50 @@ def test_verify_rejects_composite_prime(capsys):
     assert "prime" in err
 
 
-def test_budget_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("COOPBASIS_BUDGET", "10")
+def test_budget_flag(capsys):
     # phi_2 at p=3 needs e=4, cost 3^4 * 9 = 729 > 10
-    code, _, err = run(capsys, "check-integrality", "--prime", "3",
-                       "(9*w^8 - w^6 + 3*w^4 - 3*w^2 - 8)/81")
+    phi2 = "(9*w^8 - w^6 + 3*w^4 - 3*w^2 - 8)/81"
+    code, _, err = run(capsys, "check-integrality", "--prime", "3", phi2, "--budget", "10")
     assert code == 2
     assert "budget" in err
-
-    monkeypatch.setenv("COOPBASIS_BUDGET", "not-a-number")
-    code, _, err = run(capsys, "check-integrality", "--prime", "3", "w")
-    assert code == 2
-
-
-def test_budget_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("COOPBASIS_BUDGET", "10")
-    code, _, _ = run(capsys, "check-integrality", "--prime", "3",
-                     "(9*w^8 - w^6 + 3*w^4 - 3*w^2 - 8)/81", "--budget", "1000000")
+    code, _, _ = run(capsys, "check-integrality", "--prime", "3", phi2, "--budget", "1000000")
     assert code == 0
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_must_be_positive(capsys, budget):
+    code, out, err = run(capsys, "check-integrality", "--prime", "3", "w", "--budget", budget)
+    assert code == 2
+    assert out == ""
+    assert f"budget must be positive, got {budget}" in err
+
+
+@pytest.mark.parametrize("command, expander", [
+    (("expand", "--basis", "g"), "expand_in_g"),
+    (("expand", "--basis", "phi"), "expand_in_phi"),
+    (("weight",), "weight"),
+    (("check-integrality", "--prime", "2"), "is_semistable_2local"),
+])
+def test_g_expansion_commands_refuse_a_degree_over_the_cap(capsys, monkeypatch, command,
+                                                           expander):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{expander} ran on an input over the cap")
+
+    monkeypatch.setattr(cli, expander, never)
+    code, out, err = run(capsys, *command, "w^1001")
+    assert code == 2
+    assert out == ""
+    assert err == "error: input has degree 1001, over the g-expansion cap 1000\n"
+
+
+def test_the_g_expansion_cap_admits_its_own_degree(capsys):
+    code, out, _ = run(capsys, "expand", "--basis", "g", "w^1000")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1001
+    assert lines[-1].startswith("g_1000: ")
+    # the residue test at odd p has its own budget and no degree cap
+    assert run(capsys, "check-integrality", "--prime", "3", "w^1001")[0] == 0
 
 
 def test_out_file(tmp_path, capsys):

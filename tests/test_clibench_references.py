@@ -27,8 +27,7 @@ def test_every_workload_is_replayed():
 
 
 @pytest.mark.parametrize("args, reference", CASES)
-def test_pinned_invocation_matches_its_reference(capsys, monkeypatch, args, reference):
-    monkeypatch.delenv("COOPBASIS_BUDGET", raising=False)
+def test_pinned_invocation_matches_its_reference(capsys, args, reference):
     code = main(args)
     out = capsys.readouterr().out
     assert code == reference["exit"]

@@ -221,18 +221,41 @@ def test_only_q0_and_q1_act(call, i):
 
 @pytest.mark.parametrize("p, k", [(2, 20), (3, 30)])
 @pytest.mark.parametrize("i", [0, 1])
-def test_margolis_homology_eliminates_once_per_degree(monkeypatch, p, k, i):
+def test_margolis_homology_augments_only_where_homology_lives(monkeypatch, p, k, i):
     complex_ = enumerate_m1(p, k)
+    columns = [list(complex_.differential(i, degree)) for degree in complex_.degrees()]
     calls = []
     echelon = margolis._echelon
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return echelon(*args, **kwargs)
+    def counted(vectors, *args, **kwargs):
+        calls.append(list(vectors))
+        return echelon(calls[-1], *args, **kwargs)
 
     monkeypatch.setattr(margolis, "_echelon", counted)
-    margolis_homology(complex_, i)
-    assert len(calls) == len(complex_.degrees())
+    entries = margolis_homology(complex_, i)
+    plain = [vectors for vectors in calls if vectors in columns]
+    augmented = [vectors for vectors in calls if vectors not in columns]
+    # one plain elimination of the Q_i columns per degree
+    assert len(plain) == len(complex_.degrees())
+    # and one augmented elimination per degree that holds homology, over its slice
+    assert [len(vectors) for vectors in augmented] == [
+        len(complex_.degree_slice(entry.degree)) for entry in entries]
+    assert len(entries) < len(complex_.degrees())
+
+
+def test_margolis_homology_checks_its_generators_against_the_ranks(monkeypatch):
+    complex_ = enumerate_m1(2, 8)
+    echelon = margolis._echelon
+    plain = len(complex_.degrees())
+
+    def rankless(vectors, *args, **kwargs):  # the plain eliminations come first
+        nonlocal plain
+        plain -= 1
+        return {} if plain >= 0 else echelon(vectors, *args, **kwargs)
+
+    monkeypatch.setattr(margolis, "_echelon", rankless)
+    with pytest.raises(InternalConsistencyError, match="but the ranks give"):
+        margolis_homology(complex_, 0)
 
 
 def test_homologous_rejects_foreign_monomials():

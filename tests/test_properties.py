@@ -244,7 +244,7 @@ def test_sparse_echelon_matches_the_dense_reference(matrix):
     leading = {pivot: row for pivot, row in augmented.items() if pivot >= source}
     assert _dense(leading, ncols, source) == kernel
     assert len(leading) == ncols - len(_rref([*rows, *units], p)[1])
-    # its rows that lead in the image give the image's pivots, which margolis_homology reuses
+    # its rows that lead in the image give the pivots of a plain elimination of the image
     columns = ({r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(ncols))
     assert {pivot for pivot in augmented if pivot < nrows} == set(_echelon(columns, p))
 
