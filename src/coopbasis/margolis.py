@@ -15,12 +15,16 @@ Action conventions (derivations in all cases):
 
 Internal degrees: deg z_m = 2^m - 1 at p = 2; deg z_m = 2(p^m - 1) and
 deg tau_m = 2p^m - 1 at odd p.
+
+Packed keys: ``enumerate_m1`` packs a monomial of weight t into one int.
+With w = t.bit_length() + 1, the exponent of z_m (at most t) fills bits
+w*m .. w*m + w - 1, and tau_m is bit w*(n+1) + m, above all n zeta
+fields.  So a Q_i term is the key plus a fixed offset: no carry, no borrow.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from typing import Iterable, Mapping
 
 from .arith import base_p_digits, legendre_valuation_factorial, require_prime
@@ -30,7 +34,7 @@ from .semistable import DEFAULT_RESIDUE_BUDGET
 Cycle = tuple[tuple["SteenrodMonomial", int], ...]
 Zeta = tuple[tuple[int, int], ...]
 Key = tuple[Zeta, tuple[int, ...]]  # the (zeta, tau) a SteenrodMonomial stores
-Generator = tuple[bool, int, int, int]  # (exterior, index, exponent step, weight per step)
+Generator = tuple[bool, int, int, int, int]  # (exterior, index, step, weight and degree per step)
 
 
 class SteenrodMonomial:
@@ -67,6 +71,15 @@ class SteenrodMonomial:
         object.__setattr__(self, "prime", prime)
         object.__setattr__(self, "zeta", tuple(sorted(exps.items())))
         object.__setattr__(self, "tau", taus)
+
+    @classmethod
+    def _trusted(cls, prime: int, zeta: Zeta, tau: tuple[int, ...]) -> SteenrodMonomial:
+        """A monomial from a (zeta, tau) already in normal form, built without any check."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "tau", tau)
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("SteenrodMonomial is immutable")
@@ -182,12 +195,12 @@ def q_degree_drop(p: int, i: int) -> int:
 
 def _generators(p: int, max_weight: int) -> list[Generator]:
     """Generators up to ``max_weight``, lightest first; each weight is a multiple of the first."""
-    gens = [(False, 1, 2, 2), (False, 2, 2, 4)] if p == 2 else [(False, 1, 1, p)]
+    gens = [(False, 1, 2, 2, 2), (False, 2, 2, 4, 6)] if p == 2 else [(False, 1, 1, p, 2 * p - 2)]
     m = 3 if p == 2 else 2
     while (weight := 2 ** (m - 1) if p == 2 else p ** m) <= max_weight:
-        gens.append((False, m, 1, weight))
+        gens.append((False, m, 1, weight, 2 * weight - (1 if p == 2 else 2)))
         if p != 2:
-            gens.append((True, m, 1, weight))
+            gens.append((True, m, 1, weight, 2 * weight - 1))
         m += 1
     return gens
 
@@ -199,7 +212,7 @@ def _piece_size(gens: list[Generator], target: int, budget: int) -> int:
     generator takes what is left, so no level has more choices than the piece.
     """
     left = {target: 1}
-    for exterior, _, _, weight in reversed(gens[1:]):
+    for exterior, _, _, weight, _ in reversed(gens[1:]):
         most = {rest: min(rest // weight, 1) if exterior else rest // weight for rest in left}
         if sum(ways * (most[rest] + 1) for rest, ways in left.items()) > budget:
             return budget + 1
@@ -211,19 +224,24 @@ def _piece_size(gens: list[Generator], target: int, budget: int) -> int:
     return sum(left.values())
 
 
-def _monomials(p: int, gens: list[Generator], target: int) -> list[SteenrodMonomial]:
-    """Every monomial of weight ``target``, chosen as exponent tuples heaviest generator first."""
-    partial: list[tuple[int, Zeta, tuple[int, ...]]] = [(target, (), ())]
-    for exterior, index, step, weight in reversed(gens[1:]):
+def _monomials(p: int, gens: list[Generator], target: int, width: int,
+               taus: int) -> list[tuple[int, Zeta, tuple[int, ...], int]]:
+    """Every monomial of weight ``target`` as (degree, zeta, tau, key), heaviest generator first."""
+    partial: list[tuple[int, Zeta, tuple[int, ...], int, int]] = [(target, (), (), 0, 0)]
+    for exterior, index, step, weight, degree in reversed(gens[1:]):
         if exterior:
-            partial += [(rest - weight, zeta, (index, *tau))
-                        for rest, zeta, tau in partial if rest >= weight]
+            bit = 1 << taus + index
+            partial += [(rest - weight, zeta, (index, *tau), deg + degree, key + bit)
+                        for rest, zeta, tau, deg, key in partial if rest >= weight]
         else:
-            partial = [(rest - used * weight, ((index, used * step), *zeta) if used else zeta, tau)
-                       for rest, zeta, tau in partial for used in range(rest // weight + 1)]
-    _, index, step, weight = gens[0]
-    return [SteenrodMonomial(p, ((index, rest // weight * step), *zeta) if rest else zeta, tau)
-            for rest, zeta, tau in partial]
+            partial = [(rest - used * weight, ((index, used * step), *zeta) if used else zeta,
+                        tau, deg + used * degree, key + (used * step << width * index))
+                       for rest, zeta, tau, deg, key in partial
+                       for used in range(rest // weight + 1)]
+    _, index, step, weight, degree = gens[0]
+    return [(deg + rest // weight * degree, ((index, rest // weight * step), *zeta) if rest else zeta,
+             tau, key + (rest // weight * step << width * index))
+            for rest, zeta, tau, deg, key in partial]
 
 
 def enumerate_m1(p: int, k: int, budget: int = DEFAULT_RESIDUE_BUDGET) -> M1Complex:
@@ -241,22 +259,32 @@ def enumerate_m1(p: int, k: int, budget: int = DEFAULT_RESIDUE_BUDGET) -> M1Comp
         raise ResourceLimitError(
             f"weight piece at p={p}, k={k} exceeds enumeration budget {budget}",
             required=size, budget=budget)
-    basis = tuple(sorted(_monomials(p, gens, target), key=SteenrodMonomial.sort_key))
+    width, top = target.bit_length() + 1, gens[-1][1]
+    taus = width * (top + 1)
+    found = sorted(_monomials(p, gens, target, width, taus))  # sort_key order: (degree, zeta, tau)
+    basis = tuple(SteenrodMonomial._trusted(p, zeta, tau) for _, zeta, tau, _ in found)
     if len(basis) != size or any(m.weight() != target for m in basis):
         raise InternalConsistencyError(
             f"enumeration at weight {target} disagrees with its count {size} or its weights")
 
-    slices = {degree: tuple(ms)
-              for degree, ms in itertools.groupby(basis, SteenrodMonomial.degree)}
-    position = {(m.zeta, m.tau): c for slice_ in slices.values() for c, m in enumerate(slice_)}
+    slices: dict[int, list[SteenrodMonomial]] = {}
+    position = {}
+    for (degree, *_, key), m in zip(found, basis):
+        position[key] = len(slices.setdefault(degree, []))
+        slices[degree].append(m)
 
-    def build(i: int) -> dict[int, tuple[dict[int, int], ...]]:
-        return {degree: tuple({position[key]: coeff
-                               for key, coeff in _q_image(p, i, m.zeta, m.tau).items()}
-                              for m in source)
-                for degree, source in slices.items()}
-
-    return M1Complex(p, k, basis, build(0), build(1), slices)
+    # Q_i takes the unit of an odd generator m to 2^(i+1) in z_(m-1-i) (p^i in z_(m-i))
+    shifts = [{m: (2 ** (i + 1) << width * (m - 1 - i)) - (1 << width * m) if p == 2
+               else (p ** i << width * (m - i)) - (1 << taus + m) for m in range(2, top + 1)}
+              for i in (0, 1)]
+    q: list[dict[int, list[dict[int, int]]]] = [{d: [] for d in slices}, {d: [] for d in slices}]
+    for degree, zeta, tau, key in found:  # the sign counts the odd generators passed over
+        odd = tau if p > 2 else [m for m, e in zeta if e % 2]
+        for shift, columns in zip(shifts, q):
+            columns[degree].append({position[key + shift[m]]: p - 1 if c % 2 else 1
+                                    for c, m in enumerate(odd)})
+    q0, q1 = ({d: tuple(cs) for d, cs in columns.items()} for columns in q)
+    return M1Complex(p, k, basis, q0, q1, {d: tuple(ms) for d, ms in slices.items()})
 
 
 # ---- exact linear algebra over F_p -------------------------------------

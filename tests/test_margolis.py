@@ -65,19 +65,38 @@ def test_enumeration_budget_is_exact(p, k):
     assert info.value.required == size
 
 
+def _count_calls(monkeypatch, calls, owner, name, wrap=lambda f: f):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrap(counted))
+
+
 def test_enumeration_budget_is_checked_before_any_monomial_is_built(monkeypatch):
     built = []
-    init = SteenrodMonomial.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(SteenrodMonomial, "__init__", counting_init)
+    _count_calls(monkeypatch, built, SteenrodMonomial, "__init__")
+    _count_calls(monkeypatch, built, SteenrodMonomial, "_trusted", staticmethod)
+    _count_calls(monkeypatch, built, margolis, "_monomials")
     with pytest.raises(ResourceLimitError) as info:
         enumerate_m1(2, 40, budget=100)
     assert built == []
     assert info.value.required == 101
+
+
+def test_enumeration_builds_no_validated_monomial_and_no_sparse_image(monkeypatch):
+    calls = []
+    _count_calls(monkeypatch, calls, SteenrodMonomial, "__init__")
+    _count_calls(monkeypatch, calls, margolis, "_q_image")
+    complexes = [enumerate_m1(2, 20), enumerate_m1(3, 30)]
+    assert calls == []
+    monkeypatch.undo()
+    # the trusted monomials are the ones the checked constructor makes
+    for complex_ in complexes:
+        for m in complex_.basis:
+            assert m == SteenrodMonomial(m.prime, dict(m.zeta), m.tau)
 
 
 def test_enumeration_leaves_no_cyclic_garbage():

@@ -1,5 +1,6 @@
 """Property tests: ring laws, serialization round trips, tester agreement."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from coopbasis import (GExpansion, HomologyEntry, Poly, SymbolicPoly, Valuation,
                        digit_products, enumerate_m1, expand_in_g, hazewinkel_t_solutions,
                        is_semistable_2local, is_semistable_plocal_residues, margolis_homology,
                        nu_p, weight)
-from coopbasis.margolis import _echelon, q_degree_drop
+from coopbasis import margolis
+from coopbasis.margolis import M1Complex, SteenrodMonomial, _echelon, q_degree_drop
 
 PROPERTY = settings(database=None, derandomize=True, deadline=None)
 
@@ -274,6 +276,42 @@ def test_homology_matches_the_two_elimination_reference(p, max_k):
         complex_ = enumerate_m1(p, k)
         for i in (0, 1):
             assert margolis_homology(complex_, i) == _two_elimination_homology(complex_, i)
+
+
+def _tuple_m1(p, k):
+    """enumerate_m1 before packed keys: checked monomials, columns from _q_image."""
+    target = (2 if p == 2 else p) * k
+    gens = margolis._generators(p, target)
+    partial = [(target, (), ())]
+    for exterior, index, step, weight, _ in reversed(gens[1:]):
+        if exterior:
+            partial += [(rest - weight, zeta, (index, *tau))
+                        for rest, zeta, tau in partial if rest >= weight]
+        else:
+            partial = [(rest - used * weight, ((index, used * step), *zeta) if used else zeta, tau)
+                       for rest, zeta, tau in partial for used in range(rest // weight + 1)]
+    _, index, step, weight, _ = gens[0]
+    basis = tuple(sorted((SteenrodMonomial(p, ((index, rest // weight * step), *zeta)
+                                           if rest else zeta, tau)
+                          for rest, zeta, tau in partial), key=SteenrodMonomial.sort_key))
+    slices = {degree: tuple(ms)
+              for degree, ms in itertools.groupby(basis, SteenrodMonomial.degree)}
+    position = {(m.zeta, m.tau): c for slice_ in slices.values() for c, m in enumerate(slice_)}
+
+    def build(i):
+        return {degree: tuple({position[key]: coeff
+                               for key, coeff in margolis._q_image(p, i, m.zeta, m.tau).items()}
+                              for m in source)
+                for degree, source in slices.items()}
+
+    return M1Complex(p, k, basis, build(0), build(1), slices)
+
+
+@pytest.mark.parametrize("p, max_k", [(2, 48), (3, 60), (5, 40), (7, 14)])
+def test_packed_enumeration_matches_the_tuple_reference(p, max_k):
+    # at p = 2 the key's field width grows at k = 32 (target 64 needs 7 bits)
+    for k in range(max_k + 1):
+        assert enumerate_m1(p, k) == _tuple_m1(p, k), (p, k)
 
 
 class _FractionSymbolicPoly:
