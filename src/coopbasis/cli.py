@@ -32,12 +32,7 @@ EXIT_MATH_FAILURE = 1
 EXIT_USAGE = 2
 
 G_EXPANSION_MAX_DEGREE = 1000  # expand_in_g costs about d^3
-
-
-def _resolve_budget(args: argparse.Namespace) -> int:
-    if args.budget <= 0:
-        raise ValueError(f"budget must be positive, got {args.budget}")
-    return args.budget
+CSV_COMMANDS = ("phi", "g", "verify", "margolis")  # the subcommands with a CSV table
 
 
 def _g_expandable(f: Poly) -> Poly:
@@ -75,8 +70,6 @@ def _emit(args: argparse.Namespace, payload: object, pretty: list[str],
     if args.format == "json":
         _write(args, json.dumps(payload, indent=2))
     elif args.format == "csv":
-        if csv_rows is None:
-            raise ValueError("csv format is not available for this command")
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerows(csv_rows)
@@ -89,15 +82,14 @@ def _emit(args: argparse.Namespace, payload: object, pretty: list[str],
 
 
 def cmd_phi(args: argparse.Namespace) -> int:
-    budget = _resolve_budget(args)
-    family = phi_family(args.prime, args.n, residue_budget=budget)
+    family = phi_family(args.prime, args.n, residue_budget=args.budget)
     rows = [
         {"n": n, "af": family.af[n - 1], "degree": family.phi(n).degree,
          "coefficients": family.phi(n).to_json(), "text": str(family.phi(n))}
         for n in range(1, len(family) + 1)
     ]
     for n in family.over_budget:
-        print(f"note: phi_{n} not integrality-tested: residue test over budget {budget}",
+        print(f"note: phi_{n} not integrality-tested: residue test over budget {args.budget}",
               file=sys.stderr)
     payload = {"prime": args.prime, "family": rows}
     pretty = [f"phi_{r['n']}  AF={r['af']}  {r['text']}" for r in rows]
@@ -143,13 +135,12 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 def cmd_check_integrality(args: argparse.Namespace) -> int:
     f = _parse_poly_arg(args.poly)
-    budget = _resolve_budget(args)
     if args.prime == 2:
         method = "g-expansion"
         integral = is_semistable_2local(_g_expandable(f))
     else:
         method = "residues"
-        integral = is_semistable_plocal_residues(args.prime, f, budget=budget)
+        integral = is_semistable_plocal_residues(args.prime, f, budget=args.budget)
     payload = {"prime": args.prime, "method": method, "integral": integral}
     _emit(args, payload, [f"integral at p={args.prime}: {integral} ({method})"])
     return EXIT_OK if integral else EXIT_MATH_FAILURE
@@ -169,8 +160,7 @@ def cmd_weight(args: argparse.Namespace) -> int:
 
 
 def cmd_margolis(args: argparse.Namespace) -> int:
-    budget = _resolve_budget(args)
-    complex_ = enumerate_m1(args.prime, args.k, budget=budget)
+    complex_ = enumerate_m1(args.prime, args.k, budget=args.budget)
     payload = complex_to_json(complex_)
     pretty = [f"p={args.prime} k={args.k}  {len(complex_.basis)} monomials",
               "basis: " + ", ".join(payload["basis"])]
@@ -209,9 +199,7 @@ def _verify_margolis(p: int, max_k: int, budget: int) -> tuple[bool, dict]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    require_prime(args.prime)
-    budget = _resolve_budget(args)
-    p = args.prime
+    p, budget = args.prime, args.budget
     checks: list[dict] = []
 
     family_size = max(1, len(base_p_digits(p, args.max_n)), len(base_p_digits(p, args.max_k)))
@@ -330,9 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
+    try:  # the shared flags are checked here, so no subcommand starts work on a bad one
         if hasattr(args, "prime"):
             require_prime(args.prime)
+        if args.budget <= 0:
+            raise ValueError(f"budget must be positive, got {args.budget}")
+        if args.format == "csv" and args.command not in CSV_COMMANDS:
+            raise ValueError("csv format is not available for this command")
         return args.handler(args)
     except NotSemistableError as exc:
         print(f"error: {exc}", file=sys.stderr)

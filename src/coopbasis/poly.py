@@ -235,6 +235,7 @@ def _render_integer_poly(coeffs: tuple[int, ...]) -> str:
 
 
 _TOKEN = re.compile(r"\s*(\d+|[wW]|\*\*|[-+*/^()])")
+MAX_NESTING = 100  # each level of parentheses costs four Python frames
 
 
 class _Parser:
@@ -247,6 +248,8 @@ class _Parser:
 
     Division requires a nonzero constant divisor.  Each rule is passed the
     degree its result may have, and raises before its input would exceed it.
+    Parentheses nested deeper than MAX_NESTING are refused before any rule
+    runs, well inside the interpreter's recursion limit.
     """
 
     def __init__(self, text: str) -> None:
@@ -282,6 +285,11 @@ class _Parser:
     def parse(self) -> Poly:
         if not self._tokens:
             raise PolyParseError("empty polynomial expression")
+        depth = 0
+        for token in self._tokens:
+            depth += (token == "(") - (token == ")")
+            if depth > MAX_NESTING:
+                raise PolyParseError(f"parentheses nested deeper than {MAX_NESTING} levels")
         result = self._expr(DEFAULT_MAX_DEGREE)
         if self._peek() is not None:
             raise PolyParseError(f"trailing input {self._peek()!r} in {self._text!r}")

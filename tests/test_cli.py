@@ -1,5 +1,7 @@
 import collections
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +247,12 @@ def test_budget_must_be_positive(capsys, budget):
     assert code == 2
     assert out == ""
     assert f"budget must be positive, got {budget}" in err
+    # main checks the budget for every subcommand, also those that do not use it
+    for command in (("phi", "--n", "1"), ("g", "--n", "1"), ("expand", "--basis", "g", "w"),
+                    ("check-integrality", "--prime", "3", "w"), ("weight", "w"),
+                    ("verify", "--max-n", "1", "--max-k", "1"), ("margolis", "--k", "1")):
+        code, out, err = run(capsys, *command, "--budget", budget)
+        assert (code, out, err) == (2, "", f"error: budget must be positive, got {budget}\n")
 
 
 @pytest.mark.parametrize("command, expander", [
@@ -298,6 +306,52 @@ def test_csv_not_available_for_expand(capsys):
     code, _, err = run(capsys, "expand", "--basis", "g", "w^2", "--format", "csv")
     assert code == 2
     assert "csv" in err
+
+
+@pytest.mark.parametrize("command, worker", [
+    (("expand", "--basis", "phi", "--precision", "48", "((w-1)/2)^3"), "expand_in_phi"),
+    (("check-integrality", "--prime", "3", "w"), "is_semistable_plocal_residues"),
+    (("weight", "w^2"), "weight"),
+])
+def test_csv_is_refused_before_any_work(capsys, monkeypatch, command, worker):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{worker} ran although csv is refused")
+
+    monkeypatch.setattr(cli, worker, never)
+    code, out, err = run(capsys, *command, "--format", "csv")
+    assert (code, out, err) == (2, "", "error: csv format is not available for this command\n")
+
+
+@pytest.mark.parametrize("command, header", [
+    (("phi", "--n", "2"), "n,af,degree,poly"),
+    (("g", "--n", "2"), "n,degree,poly"),
+    (("verify", "--max-n", "2", "--max-k", "2"), "check,pass"),
+    (("margolis", "--k", "2"), "monomial,degree,weight"),
+])
+def test_csv_renders_for_the_commands_that_have_a_table(capsys, command, header):
+    code, out, err = run(capsys, *command, "--format", "csv")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == header and len(lines) > 1
+
+
+def test_deep_nesting_is_a_usage_error_without_a_traceback(capsys):
+    deep = "(" * 3000 + "w" + ")" * 3000
+    code, out, err = run(capsys, "check-integrality", "--prime", "3", deep)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_the_readme_command_line_examples_run(capsys):
+    # the README's "Command line" block documents the flags, so each of its examples must run
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("coopbasis ")]
+    assert lines
+    for line in lines:
+        code, out, err = run(capsys, *shlex.split(line, comments=True)[1:])
+        assert (code, err) == (0, ""), line
+        assert out, line
 
 
 @pytest.mark.parametrize("prime", ["2", "3"])

@@ -152,6 +152,15 @@ def test_parse_errors(bad):
         Poly.parse(bad)
 
 
+def test_parse_refuses_nesting_beyond_the_bound_before_recursing():
+    # four frames per level, so 3000 levels would otherwise end in RecursionError
+    bound = poly_module.MAX_NESTING
+    assert Poly.parse("(" * bound + "w" + ")" * bound) == Poly.variable()
+    for depth in (bound + 1, 3000):
+        with pytest.raises(PolyParseError, match=f"nested deeper than {bound} levels"):
+            Poly.parse("(" * depth + "w" + ")" * depth)
+
+
 def test_parse_rejects_a_right_factor_before_expanding_it(monkeypatch):
     exponents = []
     power = Poly.__pow__
