@@ -8,24 +8,22 @@ All rationals are emitted as "num/den" strings, never floats.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
+import os
 import sys
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 from .arith import base_p_digits, require_prime
-from .errors import (NotSemistableError, PolyParseError, ResourceLimitError,
-                     WeightMonotonicityError)
-from .filtration import CongruenceCheck, checks_to_json, expand_in_phi, verify_congruences, weight
-from .margolis import (complex_to_json, cycle_to_string, enumerate_m1,
-                       expected_q0_generator, expected_q1_generator,
-                       homologous, is_cycle, margolis_homology,
-                       q_square_is_zero)
-from .phi import phi_family, phi_family_oracle, phi_monomials
-from .poly import DEFAULT_MAX_DEGREE, Poly
-from .semistable import (DEFAULT_RESIDUE_BUDGET, expand_in_g, g_poly, integrality_verdicts,
-                         is_semistable_2local, is_semistable_plocal_residues)
+from .errors import (DEFAULT_RESIDUE_BUDGET, NotSemistableError, PolyParseError,
+                     ResourceLimitError, WeightMonotonicityError)
+
+if TYPE_CHECKING:
+    from .filtration import CongruenceCheck
+    from .poly import Poly
+
+# Each subcommand imports the modules it runs inside its own function, so an
+# invocation loads (and, without cached bytecode, compiles) only those: start-up
+# is most of the time of a small query.
 
 EXIT_OK = 0
 EXIT_MATH_FAILURE = 1
@@ -44,6 +42,8 @@ def _g_expandable(f: Poly) -> Poly:
 
 
 def _parse_poly_arg(text: str) -> Poly:
+    from .poly import Poly
+
     text = text.strip()
     if text.startswith("["):
         try:
@@ -70,6 +70,9 @@ def _emit(args: argparse.Namespace, payload: object, pretty: list[str],
     if args.format == "json":
         _write(args, json.dumps(payload, indent=2))
     elif args.format == "csv":
+        import csv
+        import io
+
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerows(csv_rows)
@@ -82,6 +85,8 @@ def _emit(args: argparse.Namespace, payload: object, pretty: list[str],
 
 
 def cmd_phi(args: argparse.Namespace) -> int:
+    from .phi import phi_family
+
     family = phi_family(args.prime, args.n, residue_budget=args.budget)
     rows = [
         {"n": n, "af": family.af[n - 1], "degree": family.phi(n).degree,
@@ -100,6 +105,9 @@ def cmd_phi(args: argparse.Namespace) -> int:
 
 
 def cmd_g(args: argparse.Namespace) -> int:
+    from .poly import DEFAULT_MAX_DEGREE
+    from .semistable import g_poly
+
     if not 0 <= args.n <= DEFAULT_MAX_DEGREE:  # g_n has degree n
         raise ValueError(f"--n must be in 0..{DEFAULT_MAX_DEGREE}, got {args.n}")
     rows = [
@@ -117,6 +125,8 @@ def cmd_g(args: argparse.Namespace) -> int:
 def cmd_expand(args: argparse.Namespace) -> int:
     f = _g_expandable(_parse_poly_arg(args.poly))
     if args.basis == "g":
+        from .semistable import expand_in_g
+
         expansion = expand_in_g(f)
         payload = expansion.to_json()
         pretty = [f"g_{j}: {c}" for j, c in expansion.items()] or ["0"]
@@ -124,6 +134,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.prime != 2:
         raise ValueError("phi-expansion is only defined at p = 2")
+    from .filtration import expand_in_phi
+
     expansion = expand_in_phi(f, args.precision)
     payload = expansion.to_json()
     pretty = [f"precision 2^{expansion.precision}"]
@@ -134,6 +146,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 
 def cmd_check_integrality(args: argparse.Namespace) -> int:
+    from .semistable import is_semistable_2local, is_semistable_plocal_residues
+
     f = _parse_poly_arg(args.poly)
     if args.prime == 2:
         method = "g-expansion"
@@ -150,6 +164,8 @@ def cmd_weight(args: argparse.Namespace) -> int:
     if args.prime != 2:
         raise ValueError("the weight calculus is defined at p = 2 only")
     f = _g_expandable(_parse_poly_arg(args.poly))
+    from .filtration import weight
+
     report = weight(f)
     value = None if report.weight.is_infinite else report.weight.value
     payload = {"weight": value, "argmin": list(report.argmin),
@@ -160,6 +176,8 @@ def cmd_weight(args: argparse.Namespace) -> int:
 
 
 def cmd_margolis(args: argparse.Namespace) -> int:
+    from .margolis import complex_to_json, enumerate_m1
+
     complex_ = enumerate_m1(args.prime, args.k, budget=args.budget)
     payload = complex_to_json(complex_)
     pretty = [f"p={args.prime} k={args.k}  {len(complex_.basis)} monomials",
@@ -176,6 +194,10 @@ def cmd_margolis(args: argparse.Namespace) -> int:
 
 
 def _verify_margolis(p: int, max_k: int, budget: int) -> tuple[bool, dict]:
+    from .margolis import (cycle_to_string, enumerate_m1, expected_q0_generator,
+                           expected_q1_generator, homologous, is_cycle, margolis_homology,
+                           q_square_is_zero)
+
     failures = []
     for k in range(max_k + 1):
         complex_ = enumerate_m1(p, k, budget=budget)
@@ -199,6 +221,10 @@ def _verify_margolis(p: int, max_k: int, budget: int) -> tuple[bool, dict]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .filtration import checks_to_json, verify_congruences
+    from .phi import phi_family, phi_family_oracle, phi_monomials
+    from .semistable import integrality_verdicts
+
     p, budget = args.prime, args.budget
     checks: list[dict] = []
 
@@ -325,6 +351,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"budget must be positive, got {args.budget}")
         if args.format == "csv" and args.command not in CSV_COMMANDS:
             raise ValueError("csv format is not available for this command")
+        if args.out and not os.path.exists(os.path.dirname(args.out) or "."):
+            raise ValueError(f"cannot write {args.out}: No such file or directory")
         return args.handler(args)
     except NotSemistableError as exc:
         print(f"error: {exc}", file=sys.stderr)

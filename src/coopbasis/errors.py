@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default budget they guard."""
 
 from __future__ import annotations
+
+DEFAULT_RESIDUE_BUDGET = 10_000_000  # the default --budget: residue-test and enumeration cap
 
 
 class ResourceLimitError(RuntimeError):

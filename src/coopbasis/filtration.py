@@ -13,10 +13,10 @@ semistable polynomial in the phi-monomial family.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import Valuation, _int_valuation, alpha_p, nu_p
 from .errors import NotSemistableError, WeightMonotonicityError
@@ -25,8 +25,7 @@ from .poly import Poly
 from .semistable import GExpansion, expand_in_g, g_poly
 
 
-@dataclasses.dataclass(frozen=True)
-class WeightReport:
+class WeightReport(NamedTuple):
     """g-expansion of a polynomial with its weight and minimizing indices."""
 
     expansion: GExpansion
@@ -57,8 +56,7 @@ def congruent_mod_higher_af(a: Poly, b: Poly) -> bool:
     return _check_pair("", 0, _coordinates(a), _coordinates(b)).passed
 
 
-@dataclasses.dataclass(frozen=True)
-class CongruenceCheck:
+class CongruenceCheck(NamedTuple):
     """Outcome of one congruence-mod-higher-filtration comparison."""
 
     claim: str
@@ -151,11 +149,10 @@ def verify_congruences(max_n: int, family: PhiFamily) -> list[CongruenceCheck]:
 
 
 def checks_to_json(checks: list[CongruenceCheck]) -> list[dict]:
-    return [dataclasses.asdict(c) for c in checks]
+    return [c._asdict() for c in checks]
 
 
-@dataclasses.dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One greedy reduction step: the weight found and what was subtracted."""
 
     weight: int
@@ -163,8 +160,7 @@ class TraceStep:
     coefficients: tuple[tuple[int, Fraction], ...]
 
 
-@dataclasses.dataclass(frozen=True)
-class PhiExpansion:
+class PhiExpansion(NamedTuple):
     """Finite-precision coordinates of a semistable polynomial in the phi-monomials.
 
     ``coeffs`` holds canonical representatives in [0, 2^precision); the exact

@@ -24,12 +24,10 @@ fields.  So a Q_i term is the key plus a fixed offset: no carry, no borrow.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .arith import base_p_digits, legendre_valuation_factorial, require_prime
-from .errors import InternalConsistencyError, ResourceLimitError
-from .semistable import DEFAULT_RESIDUE_BUDGET
+from .errors import DEFAULT_RESIDUE_BUDGET, InternalConsistencyError, ResourceLimitError
 
 Cycle = tuple[tuple["SteenrodMonomial", int], ...]
 Zeta = tuple[tuple[int, int], ...]
@@ -161,8 +159,7 @@ def apply_q_linear(i: int, cycle: Cycle) -> dict[SteenrodMonomial, int]:
     return {target: c for target, c in acc.items() if c}
 
 
-@dataclasses.dataclass(frozen=True)
-class M1Complex:
+class M1Complex(NamedTuple):
     """The weight-2k (p = 2) or weight-pk (odd p) monomial piece with both differentials.
 
     ``slices[d]`` is the degree-d part of the basis, in basis order.
@@ -322,8 +319,7 @@ def _echelon(vectors: Iterable[dict[int, int]], p: int,
     return rows
 
 
-@dataclasses.dataclass(frozen=True)
-class HomologyEntry:
+class HomologyEntry(NamedTuple):
     """Nonzero Margolis homology in one internal degree, with representatives."""
 
     degree: int

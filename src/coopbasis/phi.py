@@ -23,10 +23,9 @@ are the monomial generating set of the p-local cooperations module.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .arith import alpha_p, base_p_digits, exact_rational, require_prime
 from .errors import InternalConsistencyError, ResourceLimitError
@@ -161,8 +160,7 @@ class SymbolicPoly:
         return "SymbolicPoly(" + " + ".join(parts) + ")"
 
 
-@dataclasses.dataclass(frozen=True)
-class PhiFamily:
+class PhiFamily(NamedTuple):
     """Memoized phi_1..phi_N for a fixed prime, with Adams filtrations.
 
     ``polys[i]`` is phi_{i+1}; ``af[i]`` its filtration -(p^(i+1)-1)/(p-1).
@@ -268,8 +266,7 @@ def phi_family_oracle(p: int, count: int) -> PhiFamily:
                               for n, t in enumerate(solutions, start=1)))
 
 
-@dataclasses.dataclass(frozen=True)
-class PhiMonomial:
+class PhiMonomial(NamedTuple):
     """Product of phi's over the base-p digits of the index k."""
 
     prime: int

@@ -21,10 +21,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .arith import nu_p, require_prime
-from .errors import ResourceLimitError
+from .errors import DEFAULT_RESIDUE_BUDGET, ResourceLimitError
 from .poly import DEFAULT_MAX_DEGREE, Poly, _reduced
-
-DEFAULT_RESIDUE_BUDGET = 10_000_000
 
 
 def binomial_poly(n: int) -> Poly:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from coopbasis import DEFAULT_MAX_DEGREE, GExpansion, Poly, expand_in_g, phi_family
-from coopbasis import arith, cli, filtration, phi, semistable
+from coopbasis import arith, filtration, phi, semistable
 from coopbasis.cli import main
 
 
@@ -14,6 +14,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# the module that defines each worker; cli imports it from there when a subcommand runs
+OWNER = {"expand_in_g": semistable, "is_semistable_2local": semistable,
+         "is_semistable_plocal_residues": semistable, "expand_in_phi": filtration,
+         "weight": filtration}
 
 
 def test_phi_pretty_single(capsys):
@@ -266,7 +272,7 @@ def test_g_expansion_commands_refuse_a_degree_over_the_cap(capsys, monkeypatch, 
     def never(*args, **kwargs):
         raise AssertionError(f"{expander} ran on an input over the cap")
 
-    monkeypatch.setattr(cli, expander, never)
+    monkeypatch.setattr(OWNER[expander], expander, never)
     code, out, err = run(capsys, *command, "w^1001")
     assert code == 2
     assert out == ""
@@ -302,6 +308,26 @@ def test_out_file_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_an_out_file_in_a_missing_directory_is_refused_before_any_work(tmp_path, capsys,
+                                                                       monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("expand_in_phi ran although --out cannot be written")
+
+    monkeypatch.setattr(filtration, "expand_in_phi", never)
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "expand", "--basis", "phi", "--precision", "48", "((w-1)/2)^3",
+                         "--out", str(target))
+    assert (code, out, err) == (2, "", f"error: cannot write {target}: No such file or directory\n")
+
+
+def test_an_out_file_is_not_truncated_by_a_refused_command(tmp_path, capsys):
+    target = tmp_path / "kept.json"
+    target.write_text("kept\n")
+    code, _, _ = run(capsys, "weight", "w^1001", "--out", str(target))
+    assert code == 2
+    assert target.read_text() == "kept\n"
+
+
 def test_csv_not_available_for_expand(capsys):
     code, _, err = run(capsys, "expand", "--basis", "g", "w^2", "--format", "csv")
     assert code == 2
@@ -317,7 +343,7 @@ def test_csv_is_refused_before_any_work(capsys, monkeypatch, command, worker):
     def never(*args, **kwargs):
         raise AssertionError(f"{worker} ran although csv is refused")
 
-    monkeypatch.setattr(cli, worker, never)
+    monkeypatch.setattr(OWNER[worker], worker, never)
     code, out, err = run(capsys, *command, "--format", "csv")
     assert (code, out, err) == (2, "", "error: csv format is not available for this command\n")
 
@@ -390,19 +416,20 @@ def test_verify_builds_each_object_once(capsys, monkeypatch):
     def suite(*args, **kwargs):
         inside_suite.append(True)
         try:
-            return filtration.verify_congruences(*args, **kwargs)
+            return verify_congruences(*args, **kwargs)
         finally:
             inside_suite.pop()
 
     build_family, expand = phi.phi_family, semistable.expand_in_g
-    for module in (cli, filtration, phi):  # every module that binds the name
+    verify_congruences = filtration.verify_congruences
+    for module in (filtration, phi):  # every module that binds the name
         monkeypatch.setattr(module, "phi_family", counted("phi_family", build_family))
     for module in (filtration, semistable):
         monkeypatch.setattr(module, "expand_in_g", counted("expand_in_g", expand))
     monkeypatch.setattr(filtration, "weight", counted("weight", filtration.weight))
     monkeypatch.setattr(Poly, "__sub__", counted("sub", Poly.__sub__))
     monkeypatch.setattr(Poly, "__rsub__", counted("sub", Poly.__rsub__))
-    monkeypatch.setattr(cli, "verify_congruences", suite)
+    monkeypatch.setattr(filtration, "verify_congruences", suite)
 
     code, _, _ = run(capsys, "verify", "--prime", "2", "--max-n", "48", "--max-k", "12",
                      "--format", "json")

@@ -14,6 +14,19 @@ def test_package_has_no_assert_statements(path):
     assert lines == [], f"{path.name} has assert statements at lines {lines}"
 
 
+def test_no_package_module_imports_dataclasses():
+    # dataclasses imports inspect, start-up time every CLI process would pay; records are NamedTuples
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append((path.name, node.lineno))
+    assert found == []
+
+
 def test_package_has_one_cache_on_g_poly():
     # clibench/tracer.py reads the g_poly cache, and README and ROADMAP call it the only one
     caches = ("lru_cache", "cache", "cached_property")
