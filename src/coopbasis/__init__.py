@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {  # exported name -> the module that defines it, in the order of __all__
     **dict.fromkeys((
-        "INFINITE", "Valuation", "alpha_p", "base_p_digits", "is_p_local_integer",
-        "is_prime", "legendre_valuation_factorial", "nu_p", "require_prime"), "arith"),
+        "alpha_p", "base_p_digits", "is_p_local_integer", "is_prime",
+        "legendre_valuation_factorial", "nu_p", "require_prime"), "arith"),
     **dict.fromkeys((
         "InternalConsistencyError", "NotSemistableError", "PolyParseError",
         "ResourceLimitError", "WeightMonotonicityError"), "errors"),

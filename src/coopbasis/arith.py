@@ -7,7 +7,6 @@ arithmetic equality and valuations can be read off the reduced parts.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import Union
 
@@ -45,82 +44,6 @@ def require_prime(p: int) -> None:
         raise ValueError(f"expected a prime, got {p!r}")
 
 
-@functools.total_ordering
-class Valuation:
-    """An integer extended by +infinity, ordered and additive.
-
-    Infinity is reserved for the valuation of zero.  Comparison and
-    addition accept plain ints, so ``nu_p(p, x) >= 0`` reads naturally.
-    """
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: int | None = None) -> None:
-        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
-            raise TypeError(f"valuation must be an int or None, got {value!r}")
-        self._value = value
-
-    @classmethod
-    def infinite(cls) -> "Valuation":
-        return cls(None)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self._value is None
-
-    @property
-    def value(self) -> int:
-        if self._value is None:
-            raise ValueError("infinite valuation has no integer value")
-        return self._value
-
-    @staticmethod
-    def _raw(other: "Valuation | int") -> "int | None":
-        if isinstance(other, Valuation):
-            return other._value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return other
-        return NotImplemented  # type: ignore[return-value]
-
-    def __eq__(self, other: object) -> bool:
-        raw = self._raw(other)  # type: ignore[arg-type]
-        if raw is NotImplemented:
-            return NotImplemented  # type: ignore[return-value]
-        return self._value == raw
-
-    def __lt__(self, other: "Valuation | int") -> bool:
-        raw = self._raw(other)
-        if raw is NotImplemented:
-            return NotImplemented  # type: ignore[return-value]
-        if self._value is None:
-            return False
-        if raw is None:
-            return True
-        return self._value < raw
-
-    def __add__(self, other: "Valuation | int") -> "Valuation":
-        raw = self._raw(other)
-        if raw is NotImplemented:
-            return NotImplemented  # type: ignore[return-value]
-        if self._value is None or raw is None:
-            return Valuation.infinite()
-        return Valuation(self._value + raw)
-
-    __radd__ = __add__
-
-    def __hash__(self) -> int:
-        return hash(self._value)
-
-    def __repr__(self) -> str:
-        return "Valuation(infinite)" if self._value is None else f"Valuation({self._value})"
-
-    def __str__(self) -> str:
-        return "+inf" if self._value is None else str(self._value)
-
-
-INFINITE = Valuation.infinite()
-
-
 def _int_valuation(p: int, n: int) -> int:
     """Exponent of p in a nonzero integer: its lowest set bit at p = 2, else by repeated division."""
     if p == 2:
@@ -133,13 +56,13 @@ def _int_valuation(p: int, n: int) -> int:
     return v
 
 
-def nu_p(p: int, x: RationalLike) -> Valuation:
-    """p-adic valuation of a rational; infinite exactly for x = 0."""
+def nu_p(p: int, x: RationalLike) -> int | None:
+    """p-adic valuation of a rational; None, standing for +infinity, exactly for x = 0."""
     require_prime(p)
     x = exact_rational(x)
     if x == 0:
-        return Valuation.infinite()
-    return Valuation(_int_valuation(p, x.numerator) - _int_valuation(p, x.denominator))
+        return None
+    return _int_valuation(p, x.numerator) - _int_valuation(p, x.denominator)
 
 
 def base_p_digits(p: int, n: int) -> tuple[int, ...]:
@@ -171,5 +94,6 @@ def legendre_valuation_factorial(p: int, n: int) -> int:
 
 
 def is_p_local_integer(p: int, x: RationalLike) -> bool:
-    """True iff x lies in Z_(p), i.e. nu_p(x) >= 0."""
-    return nu_p(p, x) >= 0
+    """True iff x lies in Z_(p), i.e. nu_p(x) >= 0 (0 has valuation +infinity)."""
+    v = nu_p(p, x)
+    return v is None or v >= 0

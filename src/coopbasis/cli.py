@@ -41,16 +41,20 @@ def _g_expandable(f: Poly) -> Poly:
     return f
 
 
-def _parse_poly_arg(text: str) -> Poly:
-    from .poly import Poly
+def _parse_poly_arg(text: str, g_expansion: bool = False) -> Poly:
+    """The polynomial argument; for a g-expansion, one over G_EXPANSION_MAX_DEGREE is refused,
+    by the parser before it builds the power or product that exceeds the cap."""
+    from .poly import DEFAULT_MAX_DEGREE, Poly
 
     text = text.strip()
     if text.startswith("["):
         try:
-            return Poly.from_json(json.loads(text))
+            f = Poly.from_json(json.loads(text))
         except (json.JSONDecodeError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise PolyParseError(f"bad coefficient list: {exc}") from exc
-    return Poly.parse(text)
+        return _g_expandable(f) if g_expansion else f
+    return Poly.parse(text, max_degree=G_EXPANSION_MAX_DEGREE if g_expansion
+                      else DEFAULT_MAX_DEGREE)
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
@@ -123,7 +127,7 @@ def cmd_g(args: argparse.Namespace) -> int:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    f = _g_expandable(_parse_poly_arg(args.poly))
+    f = _parse_poly_arg(args.poly, g_expansion=True)
     if args.basis == "g":
         from .semistable import expand_in_g
 
@@ -140,7 +144,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
     payload = expansion.to_json()
     pretty = [f"precision 2^{expansion.precision}"]
     pretty += [f"m_{k}: {v}" for k, v in sorted(expansion.coeffs.items())]
-    pretty.append(f"residual weight {expansion.residual_weight}")
+    residual_weight = expansion.residual_weight
+    pretty.append(f"residual weight {'+inf' if residual_weight is None else residual_weight}")
     _emit(args, payload, pretty)
     return EXIT_OK
 
@@ -148,10 +153,10 @@ def cmd_expand(args: argparse.Namespace) -> int:
 def cmd_check_integrality(args: argparse.Namespace) -> int:
     from .semistable import is_semistable_2local, is_semistable_plocal_residues
 
-    f = _parse_poly_arg(args.poly)
+    f = _parse_poly_arg(args.poly, g_expansion=args.prime == 2)
     if args.prime == 2:
         method = "g-expansion"
-        integral = is_semistable_2local(_g_expandable(f))
+        integral = is_semistable_2local(f)
     else:
         method = "residues"
         integral = is_semistable_plocal_residues(args.prime, f, budget=args.budget)
@@ -163,14 +168,14 @@ def cmd_check_integrality(args: argparse.Namespace) -> int:
 def cmd_weight(args: argparse.Namespace) -> int:
     if args.prime != 2:
         raise ValueError("the weight calculus is defined at p = 2 only")
-    f = _g_expandable(_parse_poly_arg(args.poly))
+    f = _parse_poly_arg(args.poly, g_expansion=True)
     from .filtration import weight
 
     report = weight(f)
-    value = None if report.weight.is_infinite else report.weight.value
-    payload = {"weight": value, "argmin": list(report.argmin),
+    payload = {"weight": report.weight, "argmin": list(report.argmin),
                "expansion": report.expansion.to_json()}
-    pretty = [f"weight {report.weight}  argmin {list(report.argmin)}"]
+    shown = "+inf" if report.weight is None else report.weight
+    pretty = [f"weight {shown}  argmin {list(report.argmin)}"]
     _emit(args, payload, pretty)
     return EXIT_OK
 
@@ -351,8 +356,9 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"budget must be positive, got {args.budget}")
         if args.format == "csv" and args.command not in CSV_COMMANDS:
             raise ValueError("csv format is not available for this command")
-        if args.out and not os.path.exists(os.path.dirname(args.out) or "."):
-            raise ValueError(f"cannot write {args.out}: No such file or directory")
+        if args.out and not os.path.isdir(parent := os.path.dirname(args.out) or "."):
+            reason = "Not a directory" if os.path.exists(parent) else "No such file or directory"
+            raise ValueError(f"cannot write {args.out}: {reason}")
         return args.handler(args)
     except NotSemistableError as exc:
         print(f"error: {exc}", file=sys.stderr)

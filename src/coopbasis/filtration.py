@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import Valuation, _int_valuation, alpha_p, nu_p
+from .arith import _int_valuation, alpha_p, nu_p
 from .errors import NotSemistableError, WeightMonotonicityError
 from .phi import PhiFamily, digit_products, phi_family, phi_monomial, phi_monomials
 from .poly import Poly
@@ -29,25 +29,26 @@ class WeightReport(NamedTuple):
     """g-expansion of a polynomial with its weight and minimizing indices."""
 
     expansion: GExpansion
-    weight: Valuation
+    weight: int | None  # None for f = 0, whose weight is +infinity
     argmin: tuple[int, ...]
 
 
-def _weigh(nums: tuple[int, ...], den: int) -> tuple[Valuation, tuple[int, ...]]:
-    """W of the g-coordinates b_j = nums[j] / den and its minimizing indices, from the integers."""
+def _weigh(nums: tuple[int, ...], den: int) -> tuple[int | None, tuple[int, ...]]:
+    """W of the g-coordinates b_j = nums[j] / den, None (+infinity) if all are 0, and its
+    minimizing indices, from the integers."""
     shift = _int_valuation(2, den)
     terms = {j: _int_valuation(2, b) - shift + j.bit_count() - 2 * j for j, b in enumerate(nums) if b}
     best = min(terms.values(), default=None)
-    return Valuation(best), tuple(j for j, t in terms.items() if t == best)
+    return best, tuple(j for j, t in terms.items() if t == best)
 
 
 def weight(f: Poly) -> WeightReport:
-    """Weight of f via its exact g-expansion; infinite only for f = 0."""
+    """Weight of f via its exact g-expansion; None (+infinity) only for f = 0."""
     expansion = expand_in_g(f)
     return WeightReport(expansion, *_weigh(*expansion.as_integer_ratio()))
 
 
-def weight_value(f: Poly) -> Valuation:
+def weight_value(f: Poly) -> int | None:
     return weight(f).weight
 
 
@@ -67,10 +68,6 @@ class CongruenceCheck(NamedTuple):
     passed: bool
 
 
-def _as_optional_int(v: Valuation) -> int | None:
-    return None if v.is_infinite else v.value
-
-
 def _coordinates(f: Poly) -> tuple[tuple[int, ...], int]:
     """The g-coordinates of f as ``(nums, den)``."""
     return expand_in_g(f).as_integer_ratio()
@@ -86,9 +83,8 @@ def _check_pair(claim: str, n: int, lhs: tuple[tuple[int, ...], int],
     w_rhs = _weigh(b, b_den)[0]
     difference = tuple(x * b_den - y * a_den for x, y in itertools.zip_longest(a, b, fillvalue=0))
     diff = _weigh(difference, a_den * b_den)[0]
-    passed = diff.is_infinite or (w_lhs == w_rhs and diff > w_lhs)
-    return CongruenceCheck(claim, n, _as_optional_int(w_lhs),
-                           _as_optional_int(w_rhs), _as_optional_int(diff), passed)
+    passed = diff is None or (w_lhs == w_rhs and diff > w_lhs)
+    return CongruenceCheck(claim, n, w_lhs, w_rhs, diff, passed)
 
 
 def verify_congruences(max_n: int, family: PhiFamily) -> list[CongruenceCheck]:
@@ -174,14 +170,14 @@ class PhiExpansion(NamedTuple):
     coeffs: dict[int, int]
     exact_coeffs: dict[int, Fraction]
     residual: Poly
-    residual_weight: Valuation
+    residual_weight: int | None
     trace: tuple[TraceStep, ...]
 
     def to_json(self) -> dict:
         return {
             "M": self.precision,
             "coeffs": {str(k): v for k, v in sorted(self.coeffs.items())},
-            "residual_weight": _as_optional_int(self.residual_weight),
+            "residual_weight": self.residual_weight,
             "residual": self.residual.to_json(),
             "trace": [
                 {
@@ -206,8 +202,7 @@ def expand_in_phi(f: Poly, precision: int) -> PhiExpansion:
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
     report = weight(f)
-    offending = tuple((j, b, nu_p(2, b).value) for j, b in report.expansion.items()
-                      if nu_p(2, b) < 0)
+    offending = tuple((j, b, v) for j, b in report.expansion.items() if (v := nu_p(2, b)) < 0)
     if offending:
         raise NotSemistableError(
             f"input is not 2-locally semistable at g-indices {[j for j, _, _ in offending]}",
@@ -218,14 +213,14 @@ def expand_in_phi(f: Poly, precision: int) -> PhiExpansion:
     residual = f
     exact: dict[int, Fraction] = {}
     trace: list[TraceStep] = []
-    previous: Valuation | None = None
+    previous: int | None = None
     while True:
+        if report.weight is None or report.weight >= precision:
+            break  # every earlier weight was below precision, so this one has not stalled
         if previous is not None and report.weight <= previous:
             raise WeightMonotonicityError(
                 f"weight stalled at {report.weight} (previous {previous}) after "
                 f"{len(trace)} steps")
-        if report.weight >= precision:
-            break
         previous = report.weight
         step_coeffs = []
         for j in report.argmin:
@@ -237,7 +232,7 @@ def expand_in_phi(f: Poly, precision: int) -> PhiExpansion:
             residual = residual - monomials[j] * b
             exact[j] = exact.get(j, Fraction(0)) + b
             step_coeffs.append((j, b))
-        trace.append(TraceStep(report.weight.value, report.argmin, tuple(step_coeffs)))
+        trace.append(TraceStep(report.weight, report.argmin, tuple(step_coeffs)))
         report = weight(residual)
 
     modulus = 2 ** precision

@@ -7,7 +7,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .arith import Valuation, exact_rational, nu_p
+from .arith import exact_rational, nu_p
 from .errors import PolyParseError
 
 DEFAULT_MAX_DEGREE = 1_000_000
@@ -173,8 +173,8 @@ class Poly:
             acc = acc * inner + c
         return acc
 
-    def min_coeff_valuation(self, p: int) -> Valuation:
-        """Minimum of nu_p over all coefficients, nu_p(gcd(nums) / den); infinite for 0."""
+    def min_coeff_valuation(self, p: int) -> int | None:
+        """Minimum of nu_p over all coefficients, nu_p(gcd(nums) / den); None (+infinity) for 0."""
         return nu_p(p, Fraction(math.gcd(*self._nums), self._den))
 
     # ---- serialization --------------------------------------------------
@@ -200,9 +200,10 @@ class Poly:
     # ---- parsing --------------------------------------------------------
 
     @classmethod
-    def parse(cls, text: str) -> "Poly":
-        """Parse ``3/8*w^2 - w + 1`` style expressions (also parenthesized)."""
-        return _Parser(text).parse()
+    def parse(cls, text: str, *, max_degree: int = DEFAULT_MAX_DEGREE) -> "Poly":
+        """Parse ``3/8*w^2 - w + 1`` style expressions (also parenthesized); a power or
+        product that would take the degree over ``max_degree`` is refused before it is built."""
+        return _Parser(text, max_degree).parse()
 
 
 def _reduced(nums: list[int], den: int) -> Poly:
@@ -252,8 +253,9 @@ class _Parser:
     runs, well inside the interpreter's recursion limit.
     """
 
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: str, max_degree: int) -> None:
         self._text = text
+        self._max_degree = max_degree
         self._tokens = self._tokenize(text)
         self._pos = 0
 
@@ -290,7 +292,7 @@ class _Parser:
             depth += (token == "(") - (token == ")")
             if depth > MAX_NESTING:
                 raise PolyParseError(f"parentheses nested deeper than {MAX_NESTING} levels")
-        result = self._expr(DEFAULT_MAX_DEGREE)
+        result = self._expr(self._max_degree)
         if self._peek() is not None:
             raise PolyParseError(f"trailing input {self._peek()!r} in {self._text!r}")
         return result
@@ -332,7 +334,7 @@ class _Parser:
             e = int(token)
             if e > DEFAULT_MAX_DEGREE or e * max(acc.degree, 0) > cap:
                 raise PolyParseError(f"power ^{e} in {self._text!r} is over the "
-                                     f"degree cap {DEFAULT_MAX_DEGREE}")
+                                     f"degree cap {self._max_degree}")
             acc = acc ** e
         return acc
 
@@ -343,7 +345,7 @@ class _Parser:
         if token == "w":
             if cap < 1:
                 raise PolyParseError(f"{self._text!r} is over the degree cap "
-                                     f"{DEFAULT_MAX_DEGREE}")
+                                     f"{self._max_degree}")
             return Poly.variable()
         if token == "(":
             inner = self._expr(cap)

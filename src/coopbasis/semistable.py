@@ -143,7 +143,7 @@ def is_semistable_plocal_residues(p: int, f: Poly,
     """
     require_prime(p)
     nums, den = f.as_integer_ratio()
-    e = nu_p(p, den).value
+    e = nu_p(p, den)
     if e == 0:
         return True
     cost = p ** e * (f.degree + 1)

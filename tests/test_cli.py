@@ -180,6 +180,18 @@ def test_weight_report(capsys):
     assert "p = 2" in err
 
 
+def test_an_infinite_weight_prints_plus_inf_and_null(capsys):
+    assert run(capsys, "weight", "0") == (0, "weight +inf  argmin []\n", "")
+    code, out, _ = run(capsys, "weight", "0", "--format", "json")
+    assert code == 0 and json.loads(out)["weight"] is None
+
+    expand = ("expand", "--basis", "phi", "--precision", "4", "(w-1)/2")
+    code, out, err = run(capsys, *expand)
+    assert (code, err) == (0, "") and out.endswith("\nresidual weight +inf\n")
+    code, out, _ = run(capsys, *expand, "--format", "json")
+    assert code == 0 and json.loads(out)["residual_weight"] is None
+
+
 def test_margolis_json(capsys):
     code, out, _ = run(capsys, "margolis", "--prime", "2", "--k", "4",
                        "--format", "json")
@@ -273,10 +285,13 @@ def test_g_expansion_commands_refuse_a_degree_over_the_cap(capsys, monkeypatch, 
         raise AssertionError(f"{expander} ran on an input over the cap")
 
     monkeypatch.setattr(OWNER[expander], expander, never)
-    code, out, err = run(capsys, *command, "w^1001")
-    assert code == 2
-    assert out == ""
-    assert err == "error: input has degree 1001, over the g-expansion cap 1000\n"
+    # the parser refuses the power before building it; a coefficient list is checked once built
+    assert run(capsys, *command, "w^1001") == (
+        2, "", "error: power ^1001 in 'w^1001' is over the degree cap 1000\n")
+    assert run(capsys, *command, "(w+1)^2000") == (
+        2, "", "error: power ^2000 in '(w+1)^2000' is over the degree cap 1000\n")
+    assert run(capsys, *command, json.dumps(["0"] * 1001 + ["1"])) == (
+        2, "", "error: input has degree 1001, over the g-expansion cap 1000\n")
 
 
 def test_the_g_expansion_cap_admits_its_own_degree(capsys):
@@ -318,6 +333,19 @@ def test_an_out_file_in_a_missing_directory_is_refused_before_any_work(tmp_path,
     code, out, err = run(capsys, "expand", "--basis", "phi", "--precision", "48", "((w-1)/2)^3",
                          "--out", str(target))
     assert (code, out, err) == (2, "", f"error: cannot write {target}: No such file or directory\n")
+
+
+def test_an_out_file_under_a_regular_file_is_refused_before_any_work(tmp_path, capsys,
+                                                                    monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("expand_in_phi ran although --out cannot be written")
+
+    monkeypatch.setattr(filtration, "expand_in_phi", never)
+    (tmp_path / "afile").write_text("")
+    target = tmp_path / "afile" / "x.json"
+    code, out, err = run(capsys, "expand", "--basis", "phi", "--precision", "48", "((w-1)/2)^3",
+                         "--out", str(target))
+    assert (code, out, err) == (2, "", f"error: cannot write {target}: Not a directory\n")
 
 
 def test_an_out_file_is_not_truncated_by_a_refused_command(tmp_path, capsys):

@@ -31,7 +31,7 @@ def test_weight_examples():
     assert report.expansion == {3: 12, 2: 17, 1: 6}
     assert report.weight == -3
 
-    assert weight(Poly.zero()).weight.is_infinite
+    assert weight(Poly.zero()).weight is None
     assert weight(Poly.zero()).argmin == ()
 
 
@@ -43,7 +43,7 @@ def test_weight_scales_with_powers_of_two():
             continue
         assert weight_value(f * 2) == weight_value(f) + 1
         c = Fraction(rng.randint(1, 64), rng.choice((1, 3, 5)))
-        assert weight_value(f * c) == weight_value(f) + nu_p(2, c).value
+        assert weight_value(f * c) == weight_value(f) + nu_p(2, c)
 
 
 def test_weight_sub_additivity():
@@ -123,9 +123,9 @@ def test_verify_congruences_weights_match_the_polynomial_path():
     for check in checks:
         lhs, rhs = pairs[check.claim, check.n]
         w_lhs, w_rhs, w_diff = weight_value(lhs), weight_value(rhs), weight_value(lhs - rhs)
-        assert check.weight_lhs == w_lhs.value
-        assert check.weight_rhs == w_rhs.value
-        assert check.weight_diff == (None if w_diff.is_infinite else w_diff.value)
+        assert check.weight_lhs == w_lhs
+        assert check.weight_rhs == w_rhs
+        assert check.weight_diff == w_diff
         assert check.passed == (lhs == rhs or (w_lhs == w_rhs and w_diff > w_lhs))
 
 

@@ -86,7 +86,7 @@ def test_substitute_affine_inverts():
 def test_min_coeff_valuation():
     assert poly(Fraction(-1, 2), Fraction(1, 2)).min_coeff_valuation(2) == -1
     assert poly(3, 0, 1).min_coeff_valuation(2) == 0
-    assert Poly.zero().min_coeff_valuation(5).is_infinite
+    assert Poly.zero().min_coeff_valuation(5) is None
     # phi_2 at p = 3, expanded by hand: (9w^8 - w^6 + 3w^4 - 3w^2 - 8)/81
     phi2_p3 = Poly([Fraction(c, 81) for c in (-8, 0, -3, 0, 3, 0, -1, 0, 9)])
     assert phi2_p3.min_coeff_valuation(3) == -4
@@ -173,3 +173,18 @@ def test_parse_rejects_a_right_factor_before_expanding_it(monkeypatch):
     with pytest.raises(PolyParseError, match="degree cap"):
         Poly.parse("w^1000*w^1000000")
     assert exponents == [1000]
+
+
+def test_the_parse_cap_bounds_the_degree_before_a_power_is_built(monkeypatch):
+    assert Poly.parse("(w+1)^2*w", max_degree=3).degree == 3
+    assert Poly.parse("2^2000", max_degree=1) == Poly.constant(2 ** 2000)  # constants are free
+    for text in ("(w+1)^2*w", "w*w*w", "(w^2+1)^2", "w^3 - 1"):
+        with pytest.raises(PolyParseError, match="over the degree cap 2$"):
+            Poly.parse(text, max_degree=2)
+
+    def never(self, exponent):
+        raise AssertionError(f"a power ^{exponent} was built over the cap")
+
+    monkeypatch.setattr(Poly, "__pow__", never)
+    with pytest.raises(PolyParseError, match=r"power \^8000 .* over the degree cap 1000$"):
+        Poly.parse("(w+1)^8000", max_degree=1000)

@@ -51,7 +51,7 @@ def test_a_subcommand_loads_only_the_modules_it_runs(argv, unused):
 
 
 EXPORTED = [
-    "INFINITE", "Valuation", "alpha_p", "base_p_digits", "is_p_local_integer",
+    "alpha_p", "base_p_digits", "is_p_local_integer",
     "is_prime", "legendre_valuation_factorial", "nu_p", "require_prime",
     "InternalConsistencyError", "NotSemistableError", "PolyParseError",
     "ResourceLimitError", "WeightMonotonicityError",
