@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, NoReturn
+from typing import TYPE_CHECKING, Any, Callable, NoReturn
 
 from .arith import base_p_digits, require_prime
 from .errors import (DEFAULT_RESIDUE_BUDGET, NotSemistableError, PolyParseError,
@@ -57,32 +57,31 @@ def _parse_poly_arg(text: str, g_expansion: bool = False) -> Poly:
                       else DEFAULT_MAX_DEGREE)
 
 
-def _write(args: argparse.Namespace, text: str) -> None:
-    if getattr(args, "out", None):
-        try:
-            handle = open(args.out, "w", encoding="utf-8")
-        except OSError as exc:
-            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
-        with handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _emit(args: argparse.Namespace, payload: object, pretty: list[str],
-          csv_rows: list[list[object]] | None = None) -> None:
+def _emit(args: argparse.Namespace, **renderers: Callable[[], Any]) -> None:
+    """Write the rendering ``args.format`` names, and build no other: ``json`` returns the
+    payload, ``pretty`` the lines and ``csv`` the rows.  Output ends in one newline."""
+    rendered = renderers[args.format]()
     if args.format == "json":
-        _write(args, json.dumps(payload, indent=2))
+        text = json.dumps(rendered, indent=2)
     elif args.format == "csv":
         import csv
         import io
 
         buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerows(csv_rows)
-        _write(args, buffer.getvalue())
+        csv.writer(buffer).writerows(rendered)
+        text = buffer.getvalue()
     else:
-        _write(args, "\n".join(pretty))
+        text = "\n".join(rendered)
+    text = text if text.endswith("\n") else text + "\n"
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
+        handle = open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
+    with handle:
+        handle.write(text)
 
 
 # ---- subcommands ---------------------------------------------------------
@@ -92,19 +91,17 @@ def cmd_phi(args: argparse.Namespace) -> int:
     from .phi import phi_family
 
     family = phi_family(args.prime, args.n, residue_budget=args.budget)
-    rows = [
-        {"n": n, "af": family.af[n - 1], "degree": family.phi(n).degree,
-         "coefficients": family.phi(n).to_json(), "text": str(family.phi(n))}
-        for n in range(1, len(family) + 1)
-    ]
+    rows = list(zip(range(1, len(family) + 1), family.af, family.polys))
     for n in family.over_budget:
         print(f"note: phi_{n} not integrality-tested: residue test over budget {args.budget}",
               file=sys.stderr)
-    payload = {"prime": args.prime, "family": rows}
-    pretty = [f"phi_{r['n']}  AF={r['af']}  {r['text']}" for r in rows]
-    csv_rows: list[list[object]] = [["n", "af", "degree", "poly"]]
-    csv_rows += [[r["n"], r["af"], r["degree"], r["text"]] for r in rows]
-    _emit(args, payload, pretty, csv_rows)
+    _emit(args,
+          json=lambda: {"prime": args.prime, "family": [
+              {"n": n, "af": af, "degree": f.degree, "coefficients": f.to_json(), "text": str(f)}
+              for n, af, f in rows]},
+          pretty=lambda: [f"phi_{n}  AF={af}  {f}" for n, af, f in rows],
+          csv=lambda: [["n", "af", "degree", "poly"]] + [[n, af, f.degree, str(f)]
+                                                         for n, af, f in rows])
     return EXIT_OK
 
 
@@ -114,15 +111,12 @@ def cmd_g(args: argparse.Namespace) -> int:
 
     if not 0 <= args.n <= DEFAULT_MAX_DEGREE:  # g_n has degree n
         raise ValueError(f"--n must be in 0..{DEFAULT_MAX_DEGREE}, got {args.n}")
-    rows = [
-        {"n": n, "degree": n, "coefficients": g_poly(n).to_json(), "text": str(g_poly(n))}
-        for n in range(args.n + 1)
-    ]
-    payload = {"family": rows}
-    pretty = [f"g_{r['n']}  {r['text']}" for r in rows]
-    csv_rows: list[list[object]] = [["n", "degree", "poly"]]
-    csv_rows += [[r["n"], r["degree"], r["text"]] for r in rows]
-    _emit(args, payload, pretty, csv_rows)
+    family = [g_poly(n) for n in range(args.n + 1)]
+    _emit(args,
+          json=lambda: {"family": [{"n": n, "degree": n, "coefficients": g.to_json(),
+                                    "text": str(g)} for n, g in enumerate(family)]},
+          pretty=lambda: [f"g_{n}  {g}" for n, g in enumerate(family)],
+          csv=lambda: [["n", "degree", "poly"]] + [[n, n, str(g)] for n, g in enumerate(family)])
     return EXIT_OK
 
 
@@ -131,22 +125,20 @@ def cmd_expand(args: argparse.Namespace) -> int:
     if args.basis == "g":
         from .semistable import expand_in_g
 
-        expansion = expand_in_g(f)
-        payload = expansion.to_json()
-        pretty = [f"g_{j}: {c}" for j, c in expansion.items()] or ["0"]
-        _emit(args, payload, pretty)
+        coordinates = expand_in_g(f)
+        _emit(args, json=coordinates.to_json,
+              pretty=lambda: [f"g_{j}: {c}" for j, c in coordinates.items()] or ["0"])
         return EXIT_OK
     if args.prime != 2:
         raise ValueError("phi-expansion is only defined at p = 2")
     from .filtration import expand_in_phi
 
     expansion = expand_in_phi(f, args.precision)
-    payload = expansion.to_json()
-    pretty = [f"precision 2^{expansion.precision}"]
-    pretty += [f"m_{k}: {v}" for k, v in sorted(expansion.coeffs.items())]
-    residual_weight = expansion.residual_weight
-    pretty.append(f"residual weight {'+inf' if residual_weight is None else residual_weight}")
-    _emit(args, payload, pretty)
+    weight = "+inf" if expansion.residual_weight is None else expansion.residual_weight
+    _emit(args, json=expansion.to_json,
+          pretty=lambda: [f"precision 2^{expansion.precision}",
+                          *(f"m_{k}: {v}" for k, v in sorted(expansion.coeffs.items())),
+                          f"residual weight {weight}"])
     return EXIT_OK
 
 
@@ -154,14 +146,11 @@ def cmd_check_integrality(args: argparse.Namespace) -> int:
     from .semistable import is_semistable_2local, is_semistable_plocal_residues
 
     f = _parse_poly_arg(args.poly, g_expansion=args.prime == 2)
-    if args.prime == 2:
-        method = "g-expansion"
-        integral = is_semistable_2local(f)
-    else:
-        method = "residues"
-        integral = is_semistable_plocal_residues(args.prime, f, budget=args.budget)
-    payload = {"prime": args.prime, "method": method, "integral": integral}
-    _emit(args, payload, [f"integral at p={args.prime}: {integral} ({method})"])
+    method = "g-expansion" if args.prime == 2 else "residues"
+    integral = (is_semistable_2local(f) if args.prime == 2
+                else is_semistable_plocal_residues(args.prime, f, budget=args.budget))
+    _emit(args, json=lambda: {"prime": args.prime, "method": method, "integral": integral},
+          pretty=lambda: [f"integral at p={args.prime}: {integral} ({method})"])
     return EXIT_OK if integral else EXIT_MATH_FAILURE
 
 
@@ -172,11 +161,11 @@ def cmd_weight(args: argparse.Namespace) -> int:
     from .filtration import weight
 
     report = weight(f)
-    payload = {"weight": report.weight, "argmin": list(report.argmin),
-               "expansion": report.expansion.to_json()}
-    shown = "+inf" if report.weight is None else report.weight
-    pretty = [f"weight {shown}  argmin {list(report.argmin)}"]
-    _emit(args, payload, pretty)
+    _emit(args,
+          json=lambda: {"weight": report.weight, "argmin": list(report.argmin),
+                        "expansion": report.expansion.to_json()},
+          pretty=lambda: [f"weight {'+inf' if report.weight is None else report.weight}  "
+                          f"argmin {list(report.argmin)}"])
     return EXIT_OK
 
 
@@ -184,17 +173,20 @@ def cmd_margolis(args: argparse.Namespace) -> int:
     from .margolis import complex_to_json, enumerate_m1
 
     complex_ = enumerate_m1(args.prime, args.k, budget=args.budget)
-    payload = complex_to_json(complex_)
-    pretty = [f"p={args.prime} k={args.k}  {len(complex_.basis)} monomials",
-              "basis: " + ", ".join(payload["basis"])]
-    for name in ("Q0", "Q1"):
-        hom = payload["homology"][name]
-        gens = "; ".join(g for c in hom["classes"] for g in c["generators"])
-        pretty.append(f"{name} homology dim {hom['dimension']}: {gens}")
-    pretty.append(f"cover rank {payload['cover_rank']}")
-    csv_rows: list[list[object]] = [["monomial", "degree", "weight"]]
-    csv_rows += [[str(m), m.degree(), m.weight()] for m in complex_.basis]
-    _emit(args, payload, pretty, csv_rows)
+
+    def pretty() -> list[str]:
+        payload = complex_to_json(complex_)
+        lines = [f"p={args.prime} k={args.k}  {len(complex_.basis)} monomials",
+                 "basis: " + ", ".join(payload["basis"])]
+        for name in ("Q0", "Q1"):
+            hom = payload["homology"][name]
+            gens = "; ".join(g for c in hom["classes"] for g in c["generators"])
+            lines.append(f"{name} homology dim {hom['dimension']}: {gens}")
+        return lines + [f"cover rank {payload['cover_rank']}"]
+
+    _emit(args, json=lambda: complex_to_json(complex_), pretty=pretty,
+          csv=lambda: [["monomial", "degree", "weight"]] + [[str(m), m.degree(), m.weight()]
+                                                            for m in complex_.basis])
     return EXIT_OK
 
 
@@ -265,14 +257,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks.append({"name": "margolis", "pass": margolis_ok, "detail": margolis_detail})
 
     all_pass = all(c["pass"] for c in checks)
-    payload = {"prime": p, "pass": all_pass, "checks": checks}
-    if p == 2:
-        payload["congruences"] = checks_to_json(congruence_checks)
-    pretty = [f"[{'PASS' if c['pass'] else 'FAIL'}] {c['name']}" for c in checks]
-    pretty.append(f"overall: {'PASS' if all_pass else 'FAIL'}")
-    csv_rows: list[list[object]] = [["check", "pass"]]
-    csv_rows += [[c["name"], c["pass"]] for c in checks]
-    _emit(args, payload, pretty, csv_rows)
+
+    def payload() -> dict:
+        body = {"prime": p, "pass": all_pass, "checks": checks}
+        if p == 2:
+            body["congruences"] = checks_to_json(congruence_checks)
+        return body
+
+    _emit(args, json=payload,
+          pretty=lambda: [*(f"[{'PASS' if c['pass'] else 'FAIL'}] {c['name']}" for c in checks),
+                          f"overall: {'PASS' if all_pass else 'FAIL'}"],
+          csv=lambda: [["check", "pass"]] + [[c["name"], c["pass"]] for c in checks])
     return EXIT_OK if all_pass else EXIT_MATH_FAILURE
 
 
@@ -356,8 +351,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"budget must be positive, got {args.budget}")
         if args.format == "csv" and args.command not in CSV_COMMANDS:
             raise ValueError("csv format is not available for this command")
-        if args.out and not os.path.isdir(parent := os.path.dirname(args.out) or "."):
-            reason = "Not a directory" if os.path.exists(parent) else "No such file or directory"
+        parent = os.path.dirname(args.out or "") or "."
+        if args.out and (os.path.isdir(args.out) or not os.path.isdir(parent)):
+            reason = ("Is a directory" if os.path.isdir(args.out) else "Not a directory"
+                      if os.path.exists(parent) else "No such file or directory")
             raise ValueError(f"cannot write {args.out}: {reason}")
         return args.handler(args)
     except NotSemistableError as exc:

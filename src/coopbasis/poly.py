@@ -237,6 +237,14 @@ def _render_integer_poly(coeffs: tuple[int, ...]) -> str:
 
 _TOKEN = re.compile(r"\s*(\d+|[wW]|\*\*|[-+*/^()])")
 MAX_NESTING = 100  # each level of parentheses costs four Python frames
+MAX_PARSE_BITS = 2 ** 22  # estimated size of a parsed power or product; (w+1)^2047 is under it
+
+
+def _log_sizes(f: Poly) -> tuple[int, int]:
+    """ceil(log2 |N|_1) and ceil(log2 den) for f = N/den.  Every numerator of f^e is below
+    |N|_1^e and its denominator divides den^e; for f * g the bounds multiply."""
+    nums, den = f.as_integer_ratio()
+    return (sum(map(abs, nums)) - 1).bit_length(), (den - 1).bit_length()
 
 
 class _Parser:
@@ -249,6 +257,9 @@ class _Parser:
 
     Division requires a nonzero constant divisor.  Each rule is passed the
     degree its result may have, and raises before its input would exceed it.
+    A power or product is then refused before it is built if its estimated
+    size, (degree + 1) * (numerator bits + 1) + denominator bits, is over
+    MAX_PARSE_BITS.
     Parentheses nested deeper than MAX_NESTING are refused before any rule
     runs, well inside the interpreter's recursion limit.
     """
@@ -312,16 +323,17 @@ class _Parser:
         acc = self._factor(cap)
         while self._peek() in ("*", "/"):
             op = self._next()
-            if op == "*":
-                acc = acc * self._factor(cap - max(acc.degree, 0))
-            else:
-                rhs = self._factor(cap)
+            rhs = self._factor(cap - max(acc.degree, 0) if op == "*" else cap)
+            if op == "/":
                 if rhs.degree > 0:
                     raise PolyParseError("division by a non-constant polynomial")
-                divisor = rhs.coefficient(0)
-                if divisor == 0:
+                if rhs.is_zero():
                     raise PolyParseError("division by zero")
-                acc = acc * (1 / divisor)
+                rhs = Poly.constant(1 / rhs.coefficient(0))
+            (num_a, den_a), (num_b, den_b) = _log_sizes(acc), _log_sizes(rhs)
+            self._check_size("product" if op == "*" else "quotient",
+                             max(acc.degree, 0) + max(rhs.degree, 0), num_a + num_b, den_a + den_b)
+            acc = acc * rhs
         return acc
 
     def _factor(self, cap: int) -> Poly:
@@ -335,8 +347,15 @@ class _Parser:
             if e > DEFAULT_MAX_DEGREE or e * max(acc.degree, 0) > cap:
                 raise PolyParseError(f"power ^{e} in {self._text!r} is over the "
                                      f"degree cap {self._max_degree}")
+            num_bits, den_bits = _log_sizes(acc)
+            self._check_size(f"power ^{e}", e * max(acc.degree, 0), e * num_bits, e * den_bits)
             acc = acc ** e
         return acc
+
+    def _check_size(self, what: str, degree: int, num_bits: int, den_bits: int) -> None:
+        if (degree + 1) * (num_bits + 1) + den_bits > MAX_PARSE_BITS:  # numerators over one den
+            raise PolyParseError(f"{what} in {self._text!r} is over the size cap "
+                                 f"of {MAX_PARSE_BITS} bits")
 
     def _atom(self, cap: int) -> Poly:
         token = self._next()

@@ -1,4 +1,6 @@
 import collections
+import functools
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -6,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from coopbasis import DEFAULT_MAX_DEGREE, GExpansion, Poly, expand_in_g, phi_family
-from coopbasis import arith, filtration, phi, semistable
+from coopbasis import arith, filtration, margolis, phi, semistable
 from coopbasis.cli import main
 
 
@@ -348,6 +350,14 @@ def test_an_out_file_under_a_regular_file_is_refused_before_any_work(tmp_path, c
     assert (code, out, err) == (2, "", f"error: cannot write {target}: Not a directory\n")
 
 
+def test_an_out_file_that_is_a_directory_is_refused_before_any_work(tmp_path, capsys,
+                                                                   monkeypatch):
+    monkeypatch.setattr(filtration, "expand_in_phi", _never)
+    code, out, err = run(capsys, "expand", "--basis", "phi", "--precision", "48", "((w-1)/2)^3",
+                         "--out", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: cannot write {tmp_path}: Is a directory\n")
+
+
 def test_an_out_file_is_not_truncated_by_a_refused_command(tmp_path, capsys):
     target = tmp_path / "kept.json"
     target.write_text("kept\n")
@@ -387,6 +397,71 @@ def test_csv_renders_for_the_commands_that_have_a_table(capsys, command, header)
     assert (code, err) == (0, "")
     lines = out.splitlines()
     assert lines[0] == header and len(lines) > 1
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("built for a format that is not printed")
+
+
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+def test_margolis_builds_no_csv_rows_outside_csv(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(margolis.SteenrodMonomial, "degree", _never)
+    code, out, err = run(capsys, "margolis", "--k", "16", "--format", fmt)
+    assert (code, err) == (0, "") and out
+
+
+def test_margolis_csv_computes_no_homology(capsys, monkeypatch):
+    monkeypatch.setattr(margolis, "margolis_homology", _never)
+    code, out, err = run(capsys, "margolis", "--k", "16", "--format", "csv")
+    assert (code, err) == (0, "") and out.startswith("monomial,degree,weight")
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "csv"])
+@pytest.mark.parametrize("command", [("g", "--n", "8"), ("phi", "--prime", "2", "--n", "4")])
+def test_g_and_phi_build_no_json_coefficient_lists_outside_json(capsys, monkeypatch, command,
+                                                                fmt):
+    monkeypatch.setattr(Poly, "to_json", _never)
+    code, out, err = run(capsys, *command, "--format", fmt)
+    assert (code, err) == (0, "") and out
+
+
+def test_g_builds_each_member_once(capsys, monkeypatch):
+    calls = []
+    g_poly = semistable.g_poly
+    monkeypatch.setattr(semistable, "g_poly", lambda n: calls.append(n) or g_poly(n))
+    assert run(capsys, "g", "--n", "8")[0] == 0
+    assert calls == list(range(9))
+
+
+def test_a_pretty_phi_expansion_renders_no_json_residual(capsys, monkeypatch):
+    # the JSON residual has numerators past the interpreter's int-to-string limit; the pretty
+    # lines do not, so only the JSON run fails on it (one expansion serves both runs)
+    monkeypatch.setattr(filtration, "expand_in_phi", functools.cache(filtration.expand_in_phi))
+    argv = ("expand", "--basis", "phi", "--precision", "64", "((w-1)/2)^3")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and len(out) < 1024
+    assert (out.splitlines()[0], out.splitlines()[-1]) == ("precision 2^64", "residual weight 64")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1e8736f1b7b34aa337988b3dc8eef08310ec2c5dbda817d16163c425e5e06eeb")
+    with pytest.raises(ValueError) as limit:
+        str(10 ** 5000)
+    assert run(capsys, *argv, "--format", "json") == (2, "", f"error: {limit.value}\n")
+
+
+@pytest.mark.parametrize("command, built_powers", [
+    (("check-integrality", "--prime", "3", "(w+1)^20000"), []),
+    (("weight", "(9^999999)^999999"), [999999]),  # 9^999999 is built, its power is not
+])
+def test_a_power_over_the_size_cap_exits_2_before_it_is_built(capsys, monkeypatch, command,
+                                                              built_powers):
+    built = []
+    power = Poly.__pow__
+    monkeypatch.setattr(Poly, "__pow__", lambda self, e: built.append(e) or power(self, e))
+    code, out, err = run(capsys, *command)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: power ^") and err.endswith(" bits\n")
+    assert len(err.splitlines()) == 1
+    assert built == built_powers
 
 
 def test_deep_nesting_is_a_usage_error_without_a_traceback(capsys):

@@ -4,8 +4,10 @@ tests/data/verify_sha256.json pins the SHA-256 of stdout and stderr and the
 exit code of runs larger than the clibench references: ``verify --format
 json`` at four primes, ``phi --prime 3 --n 6``, and ``margolis --format
 json`` at (p, k) = (2, 64), (3, 90), (5, 125) and (7, 98), whose homology
-generators ``verify`` does not print.  A change meant to keep every output
-must keep these hashes.
+generators ``verify`` does not print.  It also pins the pretty output of
+every subcommand and the CSV output of the four that have a table, at small
+sizes, which the clibench references (all JSON) do not cover.  A change
+meant to keep every output must keep these hashes.
 """
 
 import hashlib

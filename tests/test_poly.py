@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -188,3 +189,37 @@ def test_the_parse_cap_bounds_the_degree_before_a_power_is_built(monkeypatch):
     monkeypatch.setattr(Poly, "__pow__", never)
     with pytest.raises(PolyParseError, match=r"power \^8000 .* over the degree cap 1000$"):
         Poly.parse("(w+1)^8000", max_degree=1000)
+
+
+
+@pytest.mark.parametrize("text, what, unbuilt", [
+    ("4^999999*w^3", "product", ("*", 0, 3)),
+    ("w^3/(1/4^999999)", "quotient", ("*", 3, 0)),
+    ("(w+1)^2048", r"power \^2048", ("^", 1, 2048)),
+])
+def test_parse_refuses_a_product_or_power_over_the_size_cap_before_building_it(
+        monkeypatch, text, what, unbuilt):
+    built = []
+    multiply, power = Poly.__mul__, Poly.__pow__
+
+    def spy_mul(self, other):
+        built.append(("*", self.degree, other.degree if isinstance(other, Poly) else None))
+        return multiply(self, other)
+
+    def spy_pow(self, exponent):
+        built.append(("^", self.degree, exponent))
+        return power(self, exponent)
+
+    monkeypatch.setattr(Poly, "__mul__", spy_mul)
+    monkeypatch.setattr(Poly, "__pow__", spy_pow)
+    with pytest.raises(PolyParseError, match=f"^{what} in .* over the size cap of {2 ** 22} bits$"):
+        Poly.parse(text)
+    assert built and unbuilt not in built
+
+
+def test_the_size_cap_admits_the_documented_inputs():
+    assert Poly.parse("(w+1)^1000").coefficient(500) == math.comb(1000, 500)
+    assert Poly.parse("w^999999").degree == 999999
+    assert Poly.parse("2^2000", max_degree=0) == Poly.constant(2 ** 2000)
+    # the denominator is shared, so dividing by a large constant costs its bits once
+    assert Poly.parse("w^3/4^999999") == Poly.monomial(Fraction(1, 4 ** 999999), 3)
