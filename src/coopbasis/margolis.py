@@ -249,7 +249,7 @@ def enumerate_m1(p: int, k: int, budget: int = DEFAULT_RESIDUE_BUDGET) -> M1Comp
     require_prime(p)
     if k < 0:
         raise ValueError(f"expected a natural weight index, got {k}")
-    target = (2 if p == 2 else p) * k
+    target = p * k
     gens = _generators(p, target)
     size = _piece_size(gens, target, budget)
     if size > budget:
@@ -418,17 +418,13 @@ def cover_rank(p: int, k: int) -> int:
     return legendre_valuation_factorial(p, k)
 
 
-def expected_q0_generator(p: int, k: int) -> SteenrodMonomial:
+def expected_q0_generator(k: int) -> SteenrodMonomial:
     """The 2-primary formula z1^(2k) for the Q0 homology generator."""
-    if p != 2:
-        raise ValueError("closed-form generators are only asserted at p = 2")
     return SteenrodMonomial(2, {1: 2 * k} if k else {})
 
 
-def expected_q1_generator(p: int, k: int) -> SteenrodMonomial:
+def expected_q1_generator(k: int) -> SteenrodMonomial:
     """The 2-primary digit formula z1^(2k_0) z2^(2k_1) ... for the Q1 generator."""
-    if p != 2:
-        raise ValueError("closed-form generators are only asserted at p = 2")
     return SteenrodMonomial(2, {i + 1: 2 * d for i, d in enumerate(base_p_digits(2, k)) if d})
 
 

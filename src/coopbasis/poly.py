@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -238,6 +239,12 @@ def _render_integer_poly(coeffs: tuple[int, ...]) -> str:
 _TOKEN = re.compile(r"\s*(\d+|[wW]|\*\*|[-+*/^()])")
 MAX_NESTING = 100  # each level of parentheses costs four Python frames
 MAX_PARSE_BITS = 2 ** 22  # estimated size of a parsed power or product; (w+1)^2047 is under it
+MAX_QUOTED = 80  # a parse error quotes at most this many characters of the input or a token
+
+
+def _excerpt(text: str) -> str:
+    """``text`` itself up to MAX_QUOTED characters, else its first MAX_QUOTED and ``...``."""
+    return text if len(text) <= MAX_QUOTED else text[:MAX_QUOTED] + "..."
 
 
 def _log_sizes(f: Poly) -> tuple[int, int]:
@@ -265,7 +272,7 @@ class _Parser:
     """
 
     def __init__(self, text: str, max_degree: int) -> None:
-        self._text = text
+        self._quoted = repr(_excerpt(text))  # the input as an error message quotes it
         self._max_degree = max_degree
         self._tokens = self._tokenize(text)
         self._pos = 0
@@ -278,7 +285,8 @@ class _Parser:
             match = _TOKEN.match(text, pos)
             if match is None:
                 if text[pos:].strip():
-                    raise PolyParseError(f"unexpected character {text[pos:].strip()[0]!r} in {text!r}")
+                    raise PolyParseError(f"unexpected character {text[pos:].strip()[0]!r} "
+                                         f"in {_excerpt(text)!r}")
                 break
             token = match.group(1)
             tokens.append("^" if token == "**" else token.lower())
@@ -291,7 +299,7 @@ class _Parser:
     def _next(self) -> str:
         token = self._peek()
         if token is None:
-            raise PolyParseError(f"unexpected end of expression in {self._text!r}")
+            raise PolyParseError(f"unexpected end of expression in {self._quoted}")
         self._pos += 1
         return token
 
@@ -305,7 +313,7 @@ class _Parser:
                 raise PolyParseError(f"parentheses nested deeper than {MAX_NESTING} levels")
         result = self._expr(self._max_degree)
         if self._peek() is not None:
-            raise PolyParseError(f"trailing input {self._peek()!r} in {self._text!r}")
+            raise PolyParseError(f"trailing input {_excerpt(self._peek())!r} in {self._quoted}")
         return result
 
     def _expr(self, cap: int) -> Poly:
@@ -342,10 +350,10 @@ class _Parser:
             self._next()
             token = self._next()
             if not token.isdigit():
-                raise PolyParseError(f"exponent must be a natural number, got {token!r}")
-            e = int(token)
+                raise PolyParseError(f"exponent must be a natural number, got {_excerpt(token)!r}")
+            e = self._natural(token)
             if e > DEFAULT_MAX_DEGREE or e * max(acc.degree, 0) > cap:
-                raise PolyParseError(f"power ^{e} in {self._text!r} is over the "
+                raise PolyParseError(f"power ^{_excerpt(str(e))} in {self._quoted} is over the "
                                      f"degree cap {self._max_degree}")
             num_bits, den_bits = _log_sizes(acc)
             self._check_size(f"power ^{e}", e * max(acc.degree, 0), e * num_bits, e * den_bits)
@@ -354,21 +362,28 @@ class _Parser:
 
     def _check_size(self, what: str, degree: int, num_bits: int, den_bits: int) -> None:
         if (degree + 1) * (num_bits + 1) + den_bits > MAX_PARSE_BITS:  # numerators over one den
-            raise PolyParseError(f"{what} in {self._text!r} is over the size cap "
+            raise PolyParseError(f"{what} in {self._quoted} is over the size cap "
                                  f"of {MAX_PARSE_BITS} bits")
+
+    def _natural(self, token: str) -> int:
+        try:
+            return int(token)
+        except ValueError:  # over the interpreter's limit on the digits of an int
+            raise PolyParseError(f"integer of {len(token)} digits in {self._quoted} is over the "
+                                 f"limit of {sys.get_int_max_str_digits()} digits") from None
 
     def _atom(self, cap: int) -> Poly:
         token = self._next()
         if token.isdigit():
-            return Poly.constant(int(token))
+            return Poly.constant(self._natural(token))
         if token == "w":
             if cap < 1:
-                raise PolyParseError(f"{self._text!r} is over the degree cap "
+                raise PolyParseError(f"{self._quoted} is over the degree cap "
                                      f"{self._max_degree}")
             return Poly.variable()
         if token == "(":
             inner = self._expr(cap)
             if self._next() != ")":
-                raise PolyParseError(f"unbalanced parentheses in {self._text!r}")
+                raise PolyParseError(f"unbalanced parentheses in {self._quoted}")
             return inner
-        raise PolyParseError(f"unexpected token {token!r} in {self._text!r}")
+        raise PolyParseError(f"unexpected token {_excerpt(token)!r} in {self._quoted}")

@@ -2,7 +2,9 @@ import collections
 import functools
 import hashlib
 import json
+import math
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -176,10 +178,6 @@ def test_weight_report(capsys):
     payload = json.loads(out)
     assert payload["weight"] == 0
     assert payload["argmin"] == [0, 2]
-
-    code, _, err = run(capsys, "weight", "--prime", "3", "w^2")
-    assert code == 2
-    assert "p = 2" in err
 
 
 def test_an_infinite_weight_prints_plus_inf_and_null(capsys):
@@ -384,6 +382,52 @@ def test_csv_is_refused_before_any_work(capsys, monkeypatch, command, worker):
     monkeypatch.setattr(OWNER[worker], worker, never)
     code, out, err = run(capsys, *command, "--format", "csv")
     assert (code, out, err) == (2, "", "error: csv format is not available for this command\n")
+
+
+EVERY_PRIME = (("phi", "--n", "1"), ("check-integrality", "w"),
+               ("verify", "--max-n", "1", "--max-k", "1"), ("margolis", "--k", "1"))
+TWO_LOCAL = (("g", "--n", "1"), ("expand", "--basis", "g", "w^2"),
+             ("expand", "--basis", "phi", "w^2"), ("weight", "w^2"))
+
+
+PRIME_CASES = ([(c, p) for c in EVERY_PRIME for p in (2, 3, 5)] + [(c, 2) for c in TWO_LOCAL]
+               + [(("weight", "w^2"), 3)])
+
+
+@pytest.mark.parametrize("command, prime", [
+    pytest.param(c, p, id=f"{' '.join(c)} --prime {p}") for c, p in PRIME_CASES])
+def test_a_prime_is_a_parameter_only_where_every_prime_works(capsys, monkeypatch, command, prime):
+    argv = [*command, "--prime", str(prime)]
+    if command in EVERY_PRIME:
+        assert run(capsys, *argv)[0] in (0, 1)
+        return
+
+    def never(*args, **kwargs):
+        raise AssertionError("a 2-local worker ran although --prime is refused")
+
+    for worker in ("expand_in_g", "expand_in_phi", "weight"):
+        monkeypatch.setattr(OWNER[worker], worker, never)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: --prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "w^" + "1" * 5000], ids=["literal", "exponent"])
+def test_an_integer_over_the_interpreters_digit_limit_is_a_parse_error(capsys, text):
+    limit = sys.get_int_max_str_digits()
+    assert run(capsys, "weight", text) == (
+        2, "", f"error: integer of 5000 digits in {text[:80] + '...'!r} is over the limit of "
+               f"{limit} digits\n")
+    assert run(capsys, "weight", "1" * limit) == (0, "weight 0  argmin [0]\n", "")
+
+
+def test_a_parse_refusal_quotes_at_most_80_characters_of_its_input(capsys):
+    # g_683 written out as its product, 7,439 characters
+    g_683 = ("*".join(f"(w-{2 * i - 1})" for i in range(1, 684))
+             + f"/{2 ** 683 * math.factorial(683)}")
+    assert run(capsys, "weight", g_683) == (
+        2, "", f"error: product in {g_683[:80] + '...'!r} is over the size cap of {2 ** 22} bits\n")
 
 
 @pytest.mark.parametrize("command, header", [
