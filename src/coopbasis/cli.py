@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import TYPE_CHECKING, Any, Callable, NoReturn
 
@@ -44,14 +45,20 @@ def _g_expandable(f: Poly) -> Poly:
 def _parse_poly_arg(text: str, g_expansion: bool = False) -> Poly:
     """The polynomial argument; for a g-expansion, one over G_EXPANSION_MAX_DEGREE is refused,
     by the parser before it builds the power or product that exceeds the cap."""
-    from .poly import DEFAULT_MAX_DEGREE, Poly
+    from .poly import DEFAULT_MAX_DEGREE, Poly, _excerpt, _over_digit_limit
 
     text = text.strip()
     if text.startswith("["):
+        # no list that holds a longer run of digits parses: json and Fraction would refuse it
+        # with the interpreter's own message, so it is refused here with the parser's
+        longest = max(map(len, re.findall(r"\d+", text)), default=0)
+        if longest > sys.get_int_max_str_digits():
+            raise PolyParseError("bad coefficient list: "
+                                 + _over_digit_limit(longest, repr(_excerpt(text))))
         try:
             f = Poly.from_json(json.loads(text))
         except (json.JSONDecodeError, ValueError, TypeError, ZeroDivisionError) as exc:
-            raise PolyParseError(f"bad coefficient list: {exc}") from exc
+            raise PolyParseError(f"bad coefficient list: {_excerpt(str(exc))}") from exc
         return _g_expandable(f) if g_expansion else f
     return Poly.parse(text, max_degree=G_EXPANSION_MAX_DEGREE if g_expansion
                       else DEFAULT_MAX_DEGREE)

@@ -247,6 +247,12 @@ def _excerpt(text: str) -> str:
     return text if len(text) <= MAX_QUOTED else text[:MAX_QUOTED] + "..."
 
 
+def _over_digit_limit(digits: int, quoted: str) -> str:
+    """The refusal of an integer of ``digits`` digits, over the interpreter's str-to-int limit."""
+    return (f"integer of {digits} digits in {quoted} is over the limit of "
+            f"{sys.get_int_max_str_digits()} digits")
+
+
 def _log_sizes(f: Poly) -> tuple[int, int]:
     """ceil(log2 |N|_1) and ceil(log2 den) for f = N/den.  Every numerator of f^e is below
     |N|_1^e and its denominator divides den^e; for f * g the bounds multiply."""
@@ -369,8 +375,7 @@ class _Parser:
         try:
             return int(token)
         except ValueError:  # over the interpreter's limit on the digits of an int
-            raise PolyParseError(f"integer of {len(token)} digits in {self._quoted} is over the "
-                                 f"limit of {sys.get_int_max_str_digits()} digits") from None
+            raise PolyParseError(_over_digit_limit(len(token), self._quoted)) from None
 
     def _atom(self, cap: int) -> Poly:
         token = self._next()

@@ -422,6 +422,23 @@ def test_an_integer_over_the_interpreters_digit_limit_is_a_parse_error(capsys, t
     assert run(capsys, "weight", "1" * limit) == (0, "weight 0  argmin [0]\n", "")
 
 
+@pytest.mark.parametrize("text", ['["' + "1" * 5000 + '"]', "[" + "1" * 5000 + "]"],
+                         ids=["string", "number"])
+def test_a_coefficient_list_over_the_interpreters_digit_limit_is_a_parse_error(capsys, text):
+    limit = sys.get_int_max_str_digits()
+    assert run(capsys, "weight", text) == (
+        2, "", f"error: bad coefficient list: integer of 5000 digits in {text[:80] + '...'!r} is "
+               f"over the limit of {limit} digits\n")
+    assert run(capsys, "weight", text.replace("1" * 5000, "1" * limit))[0] == 0
+
+
+def test_a_coefficient_list_refusal_quotes_at_most_80_characters(capsys):
+    code, out, err = run(capsys, "weight", '["' + "/".join("1" * 3000) + '"]')
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad coefficient list: ") and err.endswith("...\n")
+    assert len(err) == len("error: bad coefficient list: ") + 80 + len("...\n")
+
+
 def test_a_parse_refusal_quotes_at_most_80_characters_of_its_input(capsys):
     # g_683 written out as its product, 7,439 characters
     g_683 = ("*".join(f"(w-{2 * i - 1})" for i in range(1, 684))

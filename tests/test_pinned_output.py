@@ -6,8 +6,10 @@ json`` at four primes, ``phi --prime 3 --n 6``, and ``margolis --format
 json`` at (p, k) = (2, 64), (3, 90), (5, 125) and (7, 98), whose homology
 generators ``verify`` does not print.  It also pins the pretty output of
 every subcommand and the CSV output of the four that have a table, at small
-sizes, which the clibench references (all JSON) do not cover.  A change
-meant to keep every output must keep these hashes.
+sizes, which the clibench references (all JSON) do not cover, and the JSON
+verdicts of ``check-integrality`` at odd p: two integral inputs (e = 11 at
+p = 3, e = 2 at p = 7), one that is not (e = 2 at p = 5) and one over the
+residue budget (e = 20 at p = 3).  A change meant to keep every output must keep these hashes.
 """
 
 import hashlib

@@ -2,10 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coopbasis import (DEFAULT_MAX_DEGREE, DEFAULT_RESIDUE_BUDGET, GExpansion, Poly,
                        ResourceLimitError, binomial_poly, expand_in_g, g_poly, integrality_verdicts,
-                       is_semistable_2local, is_semistable_plocal_residues, nu_p, phi_family)
+                       is_semistable_2local, is_semistable_plocal_residues, nu_p, phi_family,
+                       phi_monomials)
+from test_properties import PROPERTY
 
 
 def test_binomial_poly_examples():
@@ -122,3 +126,84 @@ def test_both_testers_agree_at_p2():
                   for _ in range(rng.randint(0, 13))])
         assert is_semistable_2local(f) == is_semistable_plocal_residues(2, f)
 
+
+def _exhausted_residues(p, f):
+    """The earlier tester, kept as the reference: Horner at every unit mod p^e, no budget."""
+    nums, den = f.as_integer_ratio()
+    e = nu_p(p, den)
+    if e == 0:
+        return True
+    modulus = p ** e
+    unit_inverse = pow(den // modulus, -1, modulus)
+    scaled = [c * unit_inverse % modulus for c in nums]
+    for k in range(1, modulus):
+        if k % p == 0:
+            continue
+        acc = 0
+        for c in reversed(scaled):
+            acc = (acc * k + c) % modulus
+        if acc:
+            return False
+    return True
+
+
+@st.composite
+def residue_cases(draw):
+    """(p, f): an integer numerator over p^e times a unit, plus an integral-valued c * phi_1^m."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    e = draw(st.integers(1, max(e for e in range(1, 8) if p ** e <= 3 ** 7)))
+    unit = draw(st.integers(1, 30).filter(lambda u: u % p))
+    scale = p ** draw(st.integers(0, e))
+    numerator = Poly([scale * c for c in draw(st.lists(st.integers(-50, 50), max_size=8))])
+    phi1 = (Poly.monomial(1, p - 1) - 1) * Fraction(1, p)
+    f = (numerator * Fraction(1, p ** e * unit)
+         + phi1 ** draw(st.integers(0, e)) * draw(st.integers(-9, 9)))
+    return p, f
+
+
+@PROPERTY
+@given(residue_cases())
+def test_residue_test_matches_the_exhaustive_reference(case):
+    p, f = case
+    assert is_semistable_plocal_residues(p, f) == _exhausted_residues(p, f)
+
+
+def _euler(p, exponent, e):
+    """(w^exponent - 1)/p^e, integral-valued iff every unit's order mod p^e divides exponent."""
+    return (Poly.monomial(1, exponent) - 1) * Fraction(1, p ** e)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_residue_test_decides_euler_congruences(p):
+    # the units mod p^e are cyclic of order (p-1)p^(e-1)
+    for e in range(1, 5):
+        assert is_semistable_plocal_residues(p, _euler(p, (p - 1) * p ** (e - 1), e))
+    for e in range(2, 5):
+        assert not is_semistable_plocal_residues(p, _euler(p, (p - 1) * p ** (e - 2), e))
+
+
+def test_residue_test_decides_euler_congruences_at_2():
+    # the units mod 2^e (e >= 3) have exponent 2^(e-2)
+    for e in range(3, 8):
+        assert is_semistable_plocal_residues(2, _euler(2, 2 ** (e - 2), e))
+        assert not is_semistable_plocal_residues(2, _euler(2, 2 ** (e - 3), e))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_residue_test_matches_the_reference_on_the_phi_monomials(p):
+    decided = 0
+    for monomial in phi_monomials(p, p * p, phi_family(p, 2, verify_integrality=False)):
+        f = monomial.poly
+        if p ** nu_p(p, f.as_integer_ratio()[1]) * (f.degree + 1) > DEFAULT_RESIDUE_BUDGET:
+            with pytest.raises(ResourceLimitError):
+                is_semistable_plocal_residues(p, f)
+        else:
+            assert is_semistable_plocal_residues(p, f) == _exhausted_residues(p, f)
+            decided += 1
+    assert decided >= p  # phi_1^j for j < p at least
+
+
+def test_residue_budget_gate_charges_every_unit_mod_p_to_the_e():
+    with pytest.raises(ResourceLimitError, match=r"^residue test needs e=20: p\^e\*\(deg\+1\) = "
+                                                 r"142958160441 exceeds budget 10000000$"):
+        is_semistable_plocal_residues(3, Poly.parse("((w^2-1)/3)^20"))
