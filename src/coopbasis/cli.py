@@ -202,8 +202,9 @@ def _verify_margolis(p: int, max_k: int, budget: int) -> tuple[bool, dict]:
     for k in range(max_k + 1):
         complex_ = enumerate_m1(p, k, budget=budget)
         for i in (0, 1):
-            if not q_square_is_zero(complex_, i):
+            if not q_square_is_zero(complex_, i):  # no homology: its ranks assume Q_i^2 = 0
                 failures.append(f"Q{i}^2 != 0 at k={k}")
+                continue
             entries = margolis_homology(complex_, i)
             total = sum(e.dimension for e in entries)
             if total != 1:

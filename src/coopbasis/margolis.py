@@ -5,7 +5,8 @@ wt(z_m) = 2^(m-1); at odd p it is P(z1, z2, ...) (x) E(tau_2, tau_3, ...)
 with wt(z_m) = wt(tau_m) = p^m.  The span of the monomials of weight
 exactly 2k (resp. pk) is a finite complex under each Q_i, and its Margolis
 homology ker Q_i / im Q_i is computed degreewise by exact elimination
-over F_p.
+over F_p: on sparse {position: coefficient} vectors at odd p, and at p = 2
+on int bit rows (bit t is position t), where each row operation is one XOR.
 
 Action conventions (derivations in all cases):
 
@@ -85,7 +86,7 @@ class SteenrodMonomial:
     def weight(self) -> int:
         p = self.prime
         if p == 2:
-            return sum(e * 2 ** (m - 1) for m, e in self.zeta)
+            return sum(e << m - 1 for m, e in self.zeta)
         return (sum(e * p ** m for m, e in self.zeta)
                 + sum(p ** m for m in self.tau))
 
@@ -278,8 +279,9 @@ def enumerate_m1(p: int, k: int, budget: int = DEFAULT_RESIDUE_BUDGET) -> M1Comp
     for degree, zeta, tau, key in found:  # the sign counts the odd generators passed over
         odd = tau if p > 2 else [m for m, e in zeta if e % 2]
         for shift, columns in zip(shifts, q):
-            columns[degree].append({position[key + shift[m]]: p - 1 if c % 2 else 1
-                                    for c, m in enumerate(odd)})
+            columns[degree].append(dict.fromkeys([position[key + shift[m]] for m in odd], 1)
+                                   if p == 2 else {position[key + shift[m]]: p - 1 if c % 2 else 1
+                                                   for c, m in enumerate(odd)})
     q0, q1 = ({d: tuple(cs) for d, cs in columns.items()} for columns in q)
     return M1Complex(p, k, basis, q0, q1, {d: tuple(ms) for d, ms in slices.items()})
 
@@ -319,6 +321,57 @@ def _echelon(vectors: Iterable[dict[int, int]], p: int,
     return rows
 
 
+def _bit_rows(columns: Iterable[dict[int, int]]) -> list[int]:
+    """F_2 columns as int bit rows: bit t is set for each position t a column holds.
+
+    At p = 2 every stored coefficient is 1, so a column is the set of its positions.
+    """
+    rows = []
+    for column in columns:
+        row = 0
+        for position in column:
+            row |= 1 << position
+        rows.append(row)
+    return rows
+
+
+def _f2_echelon(rows: Iterable[int]) -> dict[int, int]:
+    """Row echelon basis over F_2 of bit rows, keyed by pivot, a row's lowest set bit.
+
+    Each XOR clears the lowest bit of the row being reduced, so the pivots
+    are those of the reduced form, but a row may still hold another pivot.
+    """
+    echelon: dict[int, int] = {}
+    for row in rows:
+        while row:
+            pivot = row & -row
+            if (other := echelon.get(pivot)) is None:
+                echelon[pivot] = row
+                break
+            row ^= other
+    return echelon
+
+
+def _f2_reduced(echelon: dict[int, int]) -> dict[int, int]:
+    """The reduced row echelon form of an echelon basis: each row 0 at every other pivot.
+
+    Highest pivot first, a row is cleared at the pivots above its own by
+    the rows already reduced, which are 0 at every pivot but their own.
+    """
+    reduced: dict[int, int] = {}
+    above = 0
+    for pivot in sorted(echelon, reverse=True):
+        row = echelon[pivot]
+        hits = row & above
+        while hits:
+            bit = hits & -hits
+            row ^= reduced[bit]
+            hits ^= bit
+        reduced[pivot] = row
+        above |= pivot
+    return reduced
+
+
 class HomologyEntry(NamedTuple):
     """Nonzero Margolis homology in one internal degree, with representatives."""
 
@@ -338,10 +391,15 @@ def margolis_homology(complex_: M1Complex, i: int) -> tuple[HomologyEntry, ...]:
     of the kernel vectors that vanish at P, a complement of the image (leading
     coefficient 1, columns in the basis order of the slice); for
     one-dimensional homology this is the least representative in that ordering.
+
+    At p = 2 the vectors are int bit rows and each row operation is one XOR:
+    the plain elimination only finds pivots, and only the augmented rows that
+    lead at a source position are brought to reduced form.
     """
     p = complex_.prime
     drop = q_degree_drop(p, i)
-    image_pivots = {degree - drop: set(_echelon(complex_.differential(i, degree), p))
+    image_pivots = {degree - drop: set(_f2_echelon(_bit_rows(complex_.differential(i, degree)))
+                                       if p == 2 else _echelon(complex_.differential(i, degree), p))
                     for degree in complex_.degrees()}
     entries = []
     for degree in complex_.degrees():
@@ -352,10 +410,19 @@ def margolis_homology(complex_: M1Complex, i: int) -> tuple[HomologyEntry, ...]:
             continue
         width = len(complex_.degree_slice(degree - drop))  # unit keys at P start here
         source = width + len(slice_)  # source keys start here
-        rows = _echelon(({**column, **({width + c: 1} if c in pivots else {}), source + c: 1}
-                         for c, column in enumerate(complex_.differential(i, degree))), p)
-        generators = tuple(tuple((slice_[key - source], x) for key, x in sorted(row.items()))
-                           for pivot, row in sorted(rows.items()) if pivot >= source)
+        if p == 2:
+            at_pivots = sum(pivots)  # the pivots are distinct bits
+            columns = _bit_rows(complex_.differential(i, degree))
+            echelon = _f2_echelon(row | (1 << c & at_pivots) << width | 1 << source + c
+                                  for c, row in enumerate(columns))
+            kernel = _f2_reduced({pivot: row for pivot, row in echelon.items() if pivot >> source})
+            generators = tuple(tuple((m, 1) for c, m in enumerate(slice_) if row >> source + c & 1)
+                               for _, row in sorted(kernel.items()))
+        else:
+            rows = _echelon(({**column, **({width + c: 1} if c in pivots else {}), source + c: 1}
+                             for c, column in enumerate(complex_.differential(i, degree))), p)
+            generators = tuple(tuple((slice_[key - source], x) for key, x in sorted(row.items()))
+                               for pivot, row in sorted(rows.items()) if pivot >= source)
         if len(generators) != dimension:
             raise InternalConsistencyError(f"Q{i} at degree {degree}: {len(generators)} "
                                            f"generators, but the ranks give {dimension}")
@@ -385,10 +452,19 @@ def homologous(complex_: M1Complex, i: int, a: Cycle, b: Cycle) -> bool:
         return not degrees  # True when every term is 0 mod p: a - b is the zero cycle
     degree = degrees.pop()
     position = {m: c for c, m in enumerate(complex_.degree_slice(degree))}
+    image = complex_.differential(i, degree + q_degree_drop(p, i))
+    if p == 2:  # every coefficient left is odd
+        bits = 0
+        for monomial, _ in terms:
+            bits ^= 1 << position[monomial]
+        echelon = _f2_echelon(_bit_rows(image))
+        while bits and (row := echelon.get(bits & -bits)):
+            bits ^= row
+        return not bits
     difference: dict[int, int] = {}
     for monomial, coeff in terms:
         difference[position[monomial]] = difference.get(position[monomial], 0) + coeff
-    rows = _echelon(complex_.differential(i, degree + q_degree_drop(p, i)), p)
+    rows = _echelon(image, p)
     rank = len(rows)
     return len(_echelon([difference], p, rows)) == rank
 
@@ -397,12 +473,22 @@ def q_square_is_zero(complex_: M1Complex, i: int) -> bool:
     """Blockwise check that Q_i composed with itself vanishes.
 
     Each composite column sums the second map's columns at the first
-    column's positions, weighted by its coefficients.
+    column's positions, weighted by its coefficients; at p = 2 it is the
+    XOR of the second map's bit rows.
     """
     p = complex_.prime
     drop = q_degree_drop(p, i)
     for degree in complex_.degrees():
         second = complex_.differential(i, degree - drop)
+        if p == 2:
+            rows = _bit_rows(second)
+            for column in complex_.differential(i, degree):
+                bits = 0
+                for position in column:
+                    bits ^= rows[position]
+                if bits:
+                    return False
+            continue
         for column in complex_.differential(i, degree):
             composite: dict[int, int] = {}
             for position, coeff in column.items():

@@ -6,6 +6,7 @@ the traced benchmark run while every other test passes, so both are run
 here once, untimed.  Nothing under clibench/ is changed.
 """
 
+import json
 import os
 import pathlib
 import subprocess
@@ -17,13 +18,29 @@ sys.path.insert(0, str(CLIBENCH))
 import kernels  # noqa: E402  (a module of clibench/, found through the line above)
 
 
-def test_the_tracer_runs_and_reports_its_trace():
+def _trace(*argv):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    result = subprocess.run([sys.executable, str(CLIBENCH / "tracer.py"), "g", "--n", "2",
+    result = subprocess.run([sys.executable, str(CLIBENCH / "tracer.py"), *argv,
                              "--format", "json"],
                             capture_output=True, text=True, cwd=ROOT, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stderr.splitlines()[-1].startswith("CLIBENCH-TRACE ")
+    prefix, _, trace = result.stderr.splitlines()[-1].partition(" ")
+    assert prefix == "CLIBENCH-TRACE"
+    return json.loads(trace)
+
+
+def test_the_tracer_runs_and_reports_its_trace():
+    _trace("g", "--n", "2")
+
+
+def test_the_tracer_reaches_every_margolis_span():
+    # k = 0..4: one enumeration per k, and each Q_i span once per k and i
+    counts = _trace("verify", "--prime", "2", "--max-n", "1", "--max-k", "4")["sum"]
+    assert counts["margolis.enumerate_m1.calls"] == 5
+    assert counts["margolis.enumerate_m1.basis_total"] == 15
+    assert counts["margolis.matrix_cells"] > 0
+    for name in ("margolis_homology", "q_square_is_zero", "homologous"):
+        assert counts[f"margolis.{name}.calls"] == 10, name
 
 
 def test_every_benchmark_kernel_runs():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from coopbasis import margolis
+from coopbasis import cli, margolis
 from coopbasis import (DEFAULT_RESIDUE_BUDGET, InternalConsistencyError,
                        ResourceLimitError, SteenrodMonomial, apply_q,
                        apply_q_linear, complex_to_json, cover_rank, cycle_to_string,
@@ -174,6 +174,39 @@ def test_q_squares_to_zero():
             assert q_square_is_zero(complex_, 1)
 
 
+def _with_nonzero_q_square(complex_, i):
+    """The complex with one Q_i column sent to a monomial whose own Q_i image is nonzero."""
+    drop = margolis.q_degree_drop(complex_.prime, i)
+    for degree in complex_.degrees():
+        lower = complex_.differential(i, degree - drop)
+        target = next((t for t, column in enumerate(lower) if column), None)
+        if target is not None:
+            table = dict(complex_.q0 if i == 0 else complex_.q1)
+            table[degree] = ({target: 1}, *table[degree][1:])
+            return complex_._replace(**{f"q{i}": table})
+    raise AssertionError("no degree has a nonzero Q_i below it")
+
+
+@pytest.mark.parametrize("p, k", [(2, 8), (3, 12)])
+@pytest.mark.parametrize("i", [0, 1])
+def test_q_square_is_zero_detects_a_broken_column(p, k, i):
+    broken = _with_nonzero_q_square(enumerate_m1(p, k), i)
+    assert not q_square_is_zero(broken, i)
+    assert q_square_is_zero(broken, 1 - i)
+
+
+@pytest.mark.parametrize("p, k", [(2, 8), (3, 12)])
+@pytest.mark.parametrize("i", [0, 1])
+def test_verify_reports_a_nonzero_q_square(monkeypatch, p, k, i):
+    enumerate_ = margolis.enumerate_m1
+    broken = _with_nonzero_q_square(enumerate_(p, k), i)
+    monkeypatch.setattr(margolis, "enumerate_m1", lambda p, j, budget: (
+        broken if j == k else enumerate_(p, j, budget=budget)))
+    ok, detail = cli._verify_margolis(p, k, DEFAULT_RESIDUE_BUDGET)
+    assert not ok
+    assert detail["failures"] == [f"Q{i}^2 != 0 at k={k}"]
+
+
 def test_homology_is_one_dimensional():
     for p, top in ((2, 12), (3, 9)):
         for k in range(top + 1):
@@ -238,19 +271,26 @@ def test_only_q0_and_q1_act(call, i):
         call(enumerate_m1(2, 4), i)
 
 
+def _elimination(p):
+    """The name of the routine that eliminates at p: bit rows by XOR at p = 2, sparse dicts else."""
+    return "_f2_echelon" if p == 2 else "_echelon"
+
+
 @pytest.mark.parametrize("p, k", [(2, 20), (3, 30)])
 @pytest.mark.parametrize("i", [0, 1])
 def test_margolis_homology_augments_only_where_homology_lives(monkeypatch, p, k, i):
     complex_ = enumerate_m1(p, k)
     columns = [list(complex_.differential(i, degree)) for degree in complex_.degrees()]
+    if p == 2:
+        columns = [margolis._bit_rows(vectors) for vectors in columns]
     calls = []
-    echelon = margolis._echelon
+    echelon = getattr(margolis, _elimination(p))
 
     def counted(vectors, *args, **kwargs):
         calls.append(list(vectors))
         return echelon(calls[-1], *args, **kwargs)
 
-    monkeypatch.setattr(margolis, "_echelon", counted)
+    monkeypatch.setattr(margolis, _elimination(p), counted)
     entries = margolis_homology(complex_, i)
     plain = [vectors for vectors in calls if vectors in columns]
     augmented = [vectors for vectors in calls if vectors not in columns]
@@ -262,9 +302,9 @@ def test_margolis_homology_augments_only_where_homology_lives(monkeypatch, p, k,
     assert len(entries) < len(complex_.degrees())
 
 
-def test_margolis_homology_checks_its_generators_against_the_ranks(monkeypatch):
-    complex_ = enumerate_m1(2, 8)
-    echelon = margolis._echelon
+def _check_generators_against_the_ranks(monkeypatch, p, k):
+    complex_ = enumerate_m1(p, k)
+    echelon = getattr(margolis, _elimination(p))
     plain = len(complex_.degrees())
 
     def rankless(vectors, *args, **kwargs):  # the plain eliminations come first
@@ -272,9 +312,17 @@ def test_margolis_homology_checks_its_generators_against_the_ranks(monkeypatch):
         plain -= 1
         return {} if plain >= 0 else echelon(vectors, *args, **kwargs)
 
-    monkeypatch.setattr(margolis, "_echelon", rankless)
+    monkeypatch.setattr(margolis, _elimination(p), rankless)
     with pytest.raises(InternalConsistencyError, match="but the ranks give"):
         margolis_homology(complex_, 0)
+
+
+def test_margolis_homology_checks_its_generators_against_the_ranks(monkeypatch):
+    _check_generators_against_the_ranks(monkeypatch, 2, 8)
+
+
+def test_margolis_homology_checks_its_generators_against_the_ranks_at_odd_p(monkeypatch):
+    _check_generators_against_the_ranks(monkeypatch, 3, 12)
 
 
 def test_homologous_rejects_foreign_monomials():

@@ -251,6 +251,48 @@ def test_sparse_echelon_matches_the_dense_reference(matrix):
     assert {pivot for pivot in augmented if pivot < nrows} == set(_echelon(columns, p))
 
 
+@st.composite
+def f2_matrices(draw):
+    """(rows of a 0/1 matrix, a column at which to cut the reduced form)."""
+    ncols = draw(st.integers(1, 10))
+    rows = draw(st.lists(st.integers(0, 2 ** ncols - 1), max_size=8))
+    return [[row >> c & 1 for c in range(ncols)] for row in rows], draw(st.integers(0, ncols))
+
+
+def _bits(row):
+    return sum(x << c for c, x in enumerate(row))
+
+
+@PROPERTY
+@given(f2_matrices())
+def test_xor_echelon_matches_the_sparse_and_dense_references(matrix):
+    rows, cut = matrix
+    echelon = margolis._f2_echelon(_bits(row) for row in rows)
+    sparse = _echelon(({c: 1 for c, x in enumerate(row) if x} for row in rows), 2)
+    dense, pivots = _rref(rows, 2)
+    assert sorted(pivot.bit_length() - 1 for pivot in echelon) == sorted(sparse) == pivots
+    # each echelon row leads at its pivot
+    assert all(row & -row == pivot for pivot, row in echelon.items())
+    reduced = margolis._f2_reduced(echelon)
+    assert [reduced[pivot] for pivot in sorted(reduced)] == [_bits(row) for row in dense]
+    assert [reduced[pivot] for pivot in sorted(reduced)] == [
+        sum(1 << c for c in row) for _, row in sorted(sparse.items())]
+    # margolis_homology reduces only the rows that lead at or above a cut
+    above = margolis._f2_reduced({pivot: row for pivot, row in echelon.items() if pivot >> cut})
+    assert [above[pivot] for pivot in sorted(above)] == [
+        _bits(row) for row, pivot in zip(dense, pivots) if pivot >= cut]
+
+
+@pytest.mark.parametrize("i", [0, 1])
+def test_xor_image_pivots_match_the_sparse_echelon(i):
+    for k in range(49):
+        complex_ = enumerate_m1(2, k)
+        for degree in complex_.degrees():
+            columns = complex_.differential(i, degree)
+            pivots = margolis._f2_echelon(margolis._bit_rows(columns))
+            assert {pivot.bit_length() - 1 for pivot in pivots} == set(_echelon(columns, 2))
+
+
 def _two_elimination_homology(complex_, i):
     """margolis_homology with the image pivots taken from a separate elimination per degree."""
     p = complex_.prime
@@ -270,7 +312,7 @@ def _two_elimination_homology(complex_, i):
     return tuple(entries)
 
 
-@pytest.mark.parametrize("p, max_k", [(2, 40), (3, 60), (5, 30), (7, 14)])
+@pytest.mark.parametrize("p, max_k", [(2, 48), (3, 60), (5, 30), (7, 14)])
 def test_homology_matches_the_two_elimination_reference(p, max_k):
     for k in range(max_k + 1):
         complex_ = enumerate_m1(p, k)
