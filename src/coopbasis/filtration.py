@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .arith import _int_valuation, alpha_p, nu_p
-from .errors import NotSemistableError, WeightMonotonicityError
-from .phi import PhiFamily, digit_products, phi_family, phi_monomial, phi_monomials
+from .errors import InternalConsistencyError, NotSemistableError, WeightMonotonicityError
+from .phi import (PhiFamily, _checked_monomial, _digit_chain, _require_members, phi_family,
+                  phi_monomial)
 from .poly import Poly
-from .semistable import GExpansion, expand_in_g, g_poly
+from .semistable import GExpansion, _mahler, _odd_values, expand_in_g
 
 
 class WeightReport(NamedTuple):
@@ -87,6 +89,54 @@ def _check_pair(claim: str, n: int, lhs: tuple[tuple[int, ...], int],
     return CongruenceCheck(claim, n, w_lhs, w_rhs, diff, passed)
 
 
+def _stirling_rows(count: int) -> list[tuple[tuple[int, ...], int]]:
+    """The g-coordinates ``(nums, 1)`` of phi_1^n = ((w - 1)/2)^n for n < count.
+
+    phi_1(2x + 1) = x, so they are the Mahler coefficients of x^n:
+    T(n, j) = j! * S(n, j), with S the Stirling numbers of the second kind,
+    from the row before by T(n, j) = j * (T(n-1, j) + T(n-1, j-1)).
+    """
+    rows, row = [], [1]
+    for _ in range(count):
+        rows.append((tuple(row), 1))
+        row = [j * (a + b) for j, (a, b) in enumerate(zip(row + [0], [0] + row))]
+    return rows
+
+
+def _digit_product_coordinates(factors: list[tuple[list[int], int, int]], count: int
+                               ) -> Iterator[tuple[int, tuple[tuple[int, ...], int]]]:
+    """``(k, (nums, den))``, the g-coordinates of prod_i f_i^(k_i) over the binary digits k_i
+    of k, for 0 < k < count in order.
+
+    ``factors[i]`` is ``(values, den_i, deg f_i)`` with values[x] = den_i * f_i(2x + 1)
+    for x up to at least the degree of every product.  The products' values are
+    built pointwise along ``_digit_chain``: entry k is entry k - 2^j times f_j.
+    Entry k keeps only the points that the entries k + m (m < 2^j) extending it
+    need, and is dropped once the last of them is built; ``_mahler`` reads its
+    first deg + 1 values.
+    """
+    chain = list(_digit_chain(2, count))
+    degree = [0] * count
+    for k, parent, j in chain:
+        degree[k] = degree[parent] + factors[j][2]
+    need = [d + 1 for d in degree]  # points of entry k: deg + 1 for it and everything extending it
+    last = [0] * count  # the last entry that extends entry k; 0 for none
+    for k, parent, _ in reversed(chain):
+        need[parent] = max(need[parent], need[k])
+        last[parent] = last[parent] or k
+    kept = {0: ([1] * need[0], 1)}
+    for k, parent, j in chain:
+        values, den = kept[parent]
+        factor, factor_den, _ = factors[j]
+        product = list(map(operator.mul, itertools.islice(values, need[k]), factor))
+        if last[parent] == k:
+            del kept[parent]
+        if last[k]:
+            kept[k] = (product, den * factor_den)
+            product = product[:degree[k] + 1]
+        yield k, _mahler(product, den * factor_den).as_integer_ratio()
+
+
 def verify_congruences(max_n: int, family: PhiFamily) -> list[CongruenceCheck]:
     """Check the six weight congruences relating the g- and phi-families.
 
@@ -101,20 +151,34 @@ def verify_congruences(max_n: int, family: PhiFamily) -> list[CongruenceCheck]:
 
     where n = sum n_i 2^i is the binary expansion; max_n = 0 gives no checks.
     ``family`` must hold phi_1..phi_(max_n.bit_length()) at p = 2, and the
-    caller tests its integrality.  g_n has the coordinates e_n, and every other
-    polynomial is expanded in the g-basis once: ``expand_in_g`` is linear, so
-    W(lhs - rhs) is read from the coordinate difference.  Failures are reported, not raised.
+    caller tests its integrality.  Every side is read as g-coordinates, and
+    W(lhs - rhs) from their difference, since the coordinates are linear.
+    No product is built as a polynomial.  g_n has the coordinates e_n, and
+    phi_1^n, since phi_1(2x + 1) = x, the rows of ``_stirling_rows``.  The
+    phi_i are evaluated once, at w = 2x + 1 = 1, 3, ..., 4 max_n + 1, and the
+    g_(2^i) there are C(x, 2^i); the digit products are multiplied from these
+    values pointwise, and ``_mahler`` reads the coordinates of each phi_i and
+    each product.  Failures are reported, not raised.
     """
     if max_n < 0:
         raise ValueError(f"expected max_n >= 0, got {max_n}")
+    _require_members(2, max_n, family)
+    if max_n == 0:
+        return []
+    if family.phi(1).as_integer_ratio() != ((-1, 1), 2):
+        raise InternalConsistencyError(f"phi_1 is {family.phi(1)}, not (w-1)/2")
     top = max_n.bit_length()
-    phi = [_coordinates(family.phi(n)) for n in range(1, top + 1)]
+    points = 2 * max_n + 1  # over the degree 2n - alpha(n) of every phi-monomial n <= max_n
+    phi_factors = []
+    for i in range(top):  # phi_(i+1) is phi-monomial 2^i: check its degree as phi_monomials does
+        nums, den = _checked_monomial(2, 1 << i, family.polys[i]).poly.as_integer_ratio()
+        phi_factors.append((_odd_values(nums, points), den, len(nums) - 1))
+    phi = [_mahler(values[:degree + 1], den).as_integer_ratio()
+           for values, den, degree in phi_factors]
+    g_factors = [([math.comb(x, 1 << i) for x in range(max_n + 1)], 1, 1 << i)
+                 for i in range(top)]  # a g digit product n has degree n
     g = [((0,) * n + (1,), 1) for n in range(max_n + 1)]
-    power = Poly.one()
-    phi1_powers = [_coordinates(power)]  # phi_1^0 .. phi_1^max_n; 2^(top-1) <= max_n
-    for _ in range(max_n):
-        power = power * family.phi(1)
-        phi1_powers.append(_coordinates(power))
+    phi1_powers = _stirling_rows(max_n + 1)  # 2^(top-1) <= max_n
     checks: list[CongruenceCheck] = []
 
     for n in range(1, top + 1):
@@ -133,13 +197,11 @@ def verify_congruences(max_n: int, family: PhiFamily) -> list[CongruenceCheck]:
     for j in range(top):
         checks.append(_check_pair("g_power2_vs_phi", 1 << j, g[1 << j], phi[j]))
 
-    g_products = digit_products(2, [g_poly(1 << i) for i in range(top)], max_n + 1)
-    for n, product in enumerate(g_products[1:], start=1):
-        checks.append(_check_pair("g_vs_g_digit_product", n, g[n], _coordinates(product)))
+    for n, coordinates in _digit_product_coordinates(g_factors, max_n + 1):
+        checks.append(_check_pair("g_vs_g_digit_product", n, g[n], coordinates))
 
-    monomials = phi_monomials(2, max_n + 1, family)
-    for n, monomial in enumerate(monomials[1:], start=1):
-        checks.append(_check_pair("g_vs_phi_monomial", n, g[n], _coordinates(monomial.poly)))
+    for n, coordinates in _digit_product_coordinates(phi_factors, max_n + 1):
+        checks.append(_check_pair("g_vs_phi_monomial", n, g[n], coordinates))
 
     return checks
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .arith import alpha_p, base_p_digits, exact_rational, require_prime
 from .errors import InternalConsistencyError, ResourceLimitError
@@ -280,18 +280,27 @@ class PhiMonomial(NamedTuple):
         return self.prime * self.index - alpha_p(self.prime, self.index)
 
 
-def digit_products(p: int, factors: Sequence[Poly], count: int) -> list[Poly]:
-    """prod_i factors[i]^(k_i) over the base-p digits k_i of k, for k < count.
+def _digit_chain(p: int, count: int) -> Iterator[tuple[int, int, int]]:
+    """``(k, k - p^j, j)`` for 0 < k < count in order, p^j the lowest nonzero digit place of k.
 
-    If p^j is the lowest nonzero digit place of k, entry k is entry
-    k - p^j times factors[j]: one multiplication per entry.
+    Entry k of a digit product over the base-p digits of k is entry k - p^j
+    times factor j, and k - p^j < k comes earlier in the chain.
     """
-    products = [Poly.one()] if count > 0 else []
     for k in range(1, count):
         j, place = 0, 1
         while k % (place * p) == 0:
             j, place = j + 1, place * p
-        products.append(products[k - place] * factors[j])
+        yield k, k - place, j
+
+
+def digit_products(p: int, factors: Sequence[Poly], count: int) -> list[Poly]:
+    """prod_i factors[i]^(k_i) over the base-p digits k_i of k, for k < count.
+
+    One multiplication per entry, along ``_digit_chain``.
+    """
+    products = [Poly.one()] if count > 0 else []
+    for _, parent, j in _digit_chain(p, count):
+        products.append(products[parent] * factors[j])
     return products
 
 

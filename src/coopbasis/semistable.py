@@ -103,6 +103,33 @@ class GExpansion:
         return cls({int(j): Fraction(c) if isinstance(c, str) else c for j, c in data.items()})
 
 
+def _odd_values(nums: tuple[int, ...], count: int) -> list[int]:
+    """F(1), F(3), ..., F(2 * count - 1) for F = sum(nums[i] * w^i), by integer Horner."""
+    values = []
+    for x in range(1, 2 * count, 2):
+        acc = 0
+        for c in reversed(nums):
+            acc = acc * x + c
+        values.append(acc)
+    return values
+
+
+def _mahler(values: list[int], den: int) -> GExpansion:
+    """The g-coordinates of the f of degree < len(values) with den * f(2x + 1) = values[x].
+
+    The j-th leading forward difference of the values, over den, is the Mahler
+    coefficient b_j of x -> f(2x + 1), which is the g-coordinate b_j of f.  More
+    values than deg f + 1 give only zero differences beyond the degree.  The
+    difference table is built in ``values``, which is overwritten.
+    """
+    for j in range(len(values)):  # afterwards values[j] is the j-th leading difference
+        for i in range(len(values) - 1, j, -1):
+            values[i] -= values[i - 1]
+    expansion = object.__new__(GExpansion)
+    expansion._vector = _reduced(values, den)
+    return expansion
+
+
 def expand_in_g(f: Poly) -> GExpansion:
     """Unique exact coordinates of f in the g-basis.
 
@@ -113,18 +140,7 @@ def expand_in_g(f: Poly) -> GExpansion:
     ..., F(2d + 1), and b_j is the j-th leading difference over den.
     """
     nums, den = f.as_integer_ratio()
-    values = []
-    for x in range(1, 2 * len(nums), 2):
-        acc = 0
-        for c in reversed(nums):
-            acc = acc * x + c
-        values.append(acc)
-    for j in range(len(values)):  # afterwards values[j] is the j-th leading difference
-        for i in range(len(values) - 1, j, -1):
-            values[i] -= values[i - 1]
-    expansion = object.__new__(GExpansion)
-    expansion._vector = _reduced(values, den)
-    return expansion
+    return _mahler(_odd_values(nums, len(nums)), den)
 
 
 def is_semistable_2local(f: Poly) -> bool:

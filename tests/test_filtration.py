@@ -7,11 +7,11 @@ from pathlib import Path
 import pytest
 
 import coopbasis
-from coopbasis import arith, filtration, poly, semistable
-from coopbasis import (NotSemistableError, Poly, alpha_p, base_p_digits,
-                       congruent_mod_higher_af, expand_in_g, expand_in_phi, g_poly,
-                       is_semistable_2local, monomial_af, nu_p, phi_family, phi_monomial,
-                       verify_congruences, weight, weight_value)
+from coopbasis import arith, filtration, phi, poly, semistable
+from coopbasis import (InternalConsistencyError, NotSemistableError, PhiFamily, Poly, alpha_p,
+                       base_p_digits, congruent_mod_higher_af, expand_in_g, expand_in_phi,
+                       g_poly, is_semistable_2local, monomial_af, nu_p, phi_family,
+                       phi_monomial, verify_congruences, weight, weight_value)
 
 DATA = Path(__file__).parent / "data"
 
@@ -169,7 +169,7 @@ def test_expand_in_phi_builds_only_the_monomials_it_subtracts(monkeypatch):
         raise AssertionError("expand_in_phi built a monomial list")
 
     monkeypatch.setattr(filtration, "phi_monomial", counted)
-    monkeypatch.setattr(filtration, "phi_monomials", no_list)
+    monkeypatch.setattr(phi, "phi_monomials", no_list)  # filtration no longer imports the name
     expansion = expand_in_phi(FAM.phi(1) ** 2, 10)
     assert expansion.to_json() == json.loads((DATA / "expand_phi1_sq_m10.json").read_text())
     assert built == list(dict.fromkeys(j for step in expansion.trace for j in step.indices))
@@ -181,6 +181,47 @@ def test_verify_congruences_bounds():
         verify_congruences(-1, FAM)
     with pytest.raises(ValueError):
         verify_congruences(4, phi_family(3, 3))
+
+
+def test_suite_phi1_power_rows_match_the_g_expansion():
+    # T(n, j) = j! S(n, j) from the Stirling recurrence, against the difference table
+    rows = filtration._stirling_rows(65)
+    assert rows[:4] == [((1,), 1), ((0, 1), 1), ((0, 1, 2), 1), ((0, 1, 6, 6), 1)]
+    for n, row in enumerate(rows):
+        assert row == expand_in_g(FAM.phi(1) ** n).as_integer_ratio()
+
+
+def test_verify_congruences_refuses_a_family_it_cannot_read():
+    phi1 = FAM.phi(1)
+    with pytest.raises(InternalConsistencyError, match=r"not \(w-1\)/2"):
+        verify_congruences(2, PhiFamily(2, (phi1 * 3, FAM.phi(2))))
+    with pytest.raises(InternalConsistencyError,
+                       match="phi-monomial 2 at p=2 has degree 2, expected 3"):
+        verify_congruences(3, PhiFamily(2, (phi1, phi1 ** 2)))
+    assert verify_congruences(0, PhiFamily(2, ())) == []
+
+
+def test_verify_congruences_checks_the_family_before_any_work(monkeypatch):
+    odd, short = phi_family(3, 3), phi_family(2, 2)
+    counts = {"expand_in_g": 0, "mul": 0}
+    original_expand, original_mul = semistable.expand_in_g, Poly.__mul__
+
+    def counted_expand(f):
+        counts["expand_in_g"] += 1
+        return original_expand(f)
+
+    def counted_mul(self, other):
+        counts["mul"] += 1
+        return original_mul(self, other)
+
+    for module in (coopbasis, semistable, filtration):  # every binding of the name
+        monkeypatch.setattr(module, "expand_in_g", counted_expand)
+    monkeypatch.setattr(Poly, "__mul__", counted_mul)
+    monkeypatch.setattr(Poly, "__rmul__", counted_mul)
+    for family, message in ((odd, "p=3, not p=2"), (short, "needs phi_3")):
+        with pytest.raises(ValueError, match=message):
+            verify_congruences(4, family)
+        assert counts == {"expand_in_g": 0, "mul": 0}
 
 
 def test_expand_in_phi_basis_element():

@@ -14,6 +14,7 @@ from coopbasis import (GExpansion, HomologyEntry, Poly, SymbolicPoly, base_p_dig
                        nu_p, weight)
 from coopbasis import margolis
 from coopbasis.margolis import M1Complex, SteenrodMonomial, _echelon, q_degree_drop
+from coopbasis.semistable import _mahler
 
 PROPERTY = settings(database=None, derandomize=True, deadline=None)
 
@@ -157,6 +158,29 @@ def test_integer_g_coordinates_match_the_fraction_path(f):
     assert {j: Fraction(b, den) for j, b in enumerate(nums) if b} == coords
     assert GExpansion(dict(expansion.items())) == expansion
     assert GExpansion.from_json(expansion.to_json()) == expansion
+
+
+def _odd_point_values(f, count):
+    """den * f(2x + 1) for x < count, with den the denominator of f, by Fraction evaluation."""
+    den = f.as_integer_ratio()[1]
+    return [int(f.evaluate(2 * x + 1) * den) for x in range(count)], den
+
+
+@PROPERTY
+@given(polys, polys, polys, st.integers(1, 4))
+def test_mahler_of_pointwise_products_matches_the_product_expansion(f, g, h, extra):
+    for factors in ((f, g), (f, g, h)):
+        product = Poly.one()
+        for factor in factors:
+            product = product * factor
+        degree = max(product.degree, 0)
+        values, den = [1] * (degree + 1 + extra), 1
+        for factor in factors:  # pointwise, at more points than the product needs
+            factor_values, factor_den = _odd_point_values(factor, len(values))
+            values, den = [a * b for a, b in zip(values, factor_values)], den * factor_den
+        expected = expand_in_g(product).as_integer_ratio()
+        assert _mahler(values[:degree + 1], den).as_integer_ratio() == expected
+        assert _mahler(values, den).as_integer_ratio() == expected
 
 
 @PROPERTY
