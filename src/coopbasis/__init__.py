@@ -17,15 +17,15 @@ __version__ = "0.1.0"
 
 _EXPORTS = {  # exported name -> the module that defines it, in the order of __all__
     **dict.fromkeys((
-        "alpha_p", "base_p_digits", "is_p_local_integer", "is_prime",
-        "legendre_valuation_factorial", "nu_p", "require_prime"), "arith"),
+        "alpha_p", "base_p_digits", "is_prime", "legendre_valuation_factorial", "nu_p",
+        "require_prime"), "arith"),
     **dict.fromkeys((
         "InternalConsistencyError", "NotSemistableError", "PolyParseError",
         "ResourceLimitError", "WeightMonotonicityError"), "errors"),
     **dict.fromkeys((
         "CongruenceCheck", "PhiExpansion", "TraceStep", "WeightReport",
         "checks_to_json", "congruent_mod_higher_af", "expand_in_phi",
-        "verify_congruences", "weight", "weight_value"), "filtration"),
+        "verify_congruences", "weight"), "filtration"),
     **dict.fromkeys((
         "HomologyEntry", "M1Complex", "SteenrodMonomial", "apply_q", "apply_q_linear",
         "complex_to_json", "cover_rank", "cycle_to_string", "enumerate_m1",
@@ -34,12 +34,12 @@ _EXPORTS = {  # exported name -> the module that defines it, in the order of __a
     "DEFAULT_MAX_DEGREE": "poly",
     **dict.fromkeys((
         "PhiFamily", "PhiMonomial", "SymbolicPoly", "digit_products",
-        "hazewinkel_t_solutions", "monomial_af", "phi_family", "phi_family_oracle",
+        "hazewinkel_t_solutions", "phi_family", "phi_family_oracle",
         "phi_monomial", "phi_monomials"), "phi"),
     "Poly": "poly",
     "DEFAULT_RESIDUE_BUDGET": "errors",
     **dict.fromkeys((
-        "GExpansion", "binomial_poly", "expand_in_g", "g_poly", "integrality_verdicts",
+        "GExpansion", "expand_in_g", "g_poly", "integrality_verdicts",
         "is_semistable_2local", "is_semistable_plocal_residues"), "semistable"),
 }
 

@@ -1,4 +1,4 @@
-"""Exact rational arithmetic: p-adic valuations, digit sums, p-local membership.
+"""Exact rational arithmetic: p-adic valuations, digit sums, primality.
 
 Rational values are plain ``fractions.Fraction`` everywhere: always reduced,
 positive denominator, zero normalized to 0/1.  Structural equality is then
@@ -91,9 +91,3 @@ def legendre_valuation_factorial(p: int, n: int) -> int:
     if remainder:
         raise ArithmeticError(f"(n - alpha_p(n)) not divisible by p-1 for n={n}, p={p}")
     return quotient
-
-
-def is_p_local_integer(p: int, x: RationalLike) -> bool:
-    """True iff x lies in Z_(p), i.e. nu_p(x) >= 0 (0 has valuation +infinity)."""
-    v = nu_p(p, x)
-    return v is None or v >= 0

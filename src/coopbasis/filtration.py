@@ -50,10 +50,6 @@ def weight(f: Poly) -> WeightReport:
     return WeightReport(expansion, *_weigh(*expansion.as_integer_ratio()))
 
 
-def weight_value(f: Poly) -> int | None:
-    return weight(f).weight
-
-
 def congruent_mod_higher_af(a: Poly, b: Poly) -> bool:
     """True iff a and b agree modulo higher filtration (in the W sense)."""
     return _check_pair("", 0, _coordinates(a), _coordinates(b)).passed

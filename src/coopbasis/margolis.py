@@ -46,13 +46,16 @@ class SteenrodMonomial:
                  tau: Iterable[int] = ()) -> None:
         require_prime(prime)
         exps = {}
-        for index, e in dict(zeta).items():
+        pairs = tuple(zeta.items() if hasattr(zeta, "keys") else zeta)  # as dict() reads it
+        for index, e in pairs:
             if type(index) is not int or type(e) is not int:  # a plain type test refuses bool too
                 raise TypeError(f"zeta index and exponent must be ints, got z{index!r}^{e!r}")
             if e < 0 or index < 1:
                 raise ValueError(f"bad zeta power z{index}^{e}")
             if e:
                 exps[index] = e
+        if len(dict(pairs)) != len(pairs):
+            raise ValueError(f"zeta indices must be distinct, got {pairs!r}")
         taus = tuple(sorted(tau))
         if taus and any(type(index) is not int for index in taus):
             raise TypeError(f"tau indices must be ints, got {taus!r}")
@@ -96,9 +99,6 @@ class SteenrodMonomial:
             return sum(e * (2 ** m - 1) for m, e in self.zeta)
         return (sum(e * 2 * (p ** m - 1) for m, e in self.zeta)
                 + sum(2 * p ** m - 1 for m in self.tau))
-
-    def sort_key(self) -> tuple:
-        return (self.degree(), self.zeta, self.tau)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SteenrodMonomial):
@@ -259,7 +259,7 @@ def enumerate_m1(p: int, k: int, budget: int = DEFAULT_RESIDUE_BUDGET) -> M1Comp
             required=size, budget=budget)
     width, top = target.bit_length() + 1, gens[-1][1]
     taus = width * (top + 1)
-    found = sorted(_monomials(p, gens, target, width, taus))  # sort_key order: (degree, zeta, tau)
+    found = sorted(_monomials(p, gens, target, width, taus))  # by (degree, zeta, tau)
     basis = tuple(SteenrodMonomial._trusted(p, zeta, tau) for _, zeta, tau, _ in found)
     if len(basis) != size or any(m.weight() != target for m in basis):
         raise InternalConsistencyError(

@@ -344,14 +344,3 @@ def phi_monomial(p: int, k: int, family: PhiFamily) -> PhiMonomial:
         for _ in range(digit):
             product = product * factor
     return _checked_monomial(p, k, product)
-
-
-def monomial_af(p: int, k: int) -> int:
-    """Adams filtration of the k-th phi-monomial: sum k_i * AF(phi_{i+1}).
-
-    At p = 2 this equals alpha(k) - 2k.
-    """
-    require_prime(p)
-    if k < 0:
-        raise ValueError(f"expected a natural index, got {k}")
-    return sum(d * _af_value(p, i + 1) for i, d in enumerate(base_p_digits(p, k)))

@@ -6,9 +6,9 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .arith import exact_rational, nu_p
+from .arith import exact_rational
 from .errors import PolyParseError
 
 DEFAULT_MAX_DEGREE = 1_000_000
@@ -85,9 +85,6 @@ class Poly:
         """
         return self._nums, self._den
 
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.coefficients)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
             return self._den == other._den and self._nums == other._nums
@@ -155,28 +152,6 @@ class Poly:
             if e:
                 base = base * base
         return result
-
-    # ---- evaluation and substitution ----------------------------------
-
-    def evaluate(self, x: Fraction | int) -> Fraction:
-        """Exact Horner evaluation: f(a/b) = sum(nums[i] * a^i * b^(d-i)) / (b^d * den)."""
-        a, b = exact_rational(x).as_integer_ratio()
-        acc, scale = 0, 1
-        for n in reversed(self._nums):  # scale = b^(number of coefficients read)
-            acc, scale = acc * a + n * scale, scale * b
-        return Fraction(acc * b, scale * self._den)
-
-    def substitute_affine(self, a: Fraction | int, b: Fraction | int) -> "Poly":
-        """Return f(a*w + b), exactly (Horner over the polynomial ring)."""
-        inner = Poly((b, a))
-        acc = Poly.zero()
-        for c in reversed(self.coefficients):
-            acc = acc * inner + c
-        return acc
-
-    def min_coeff_valuation(self, p: int) -> int | None:
-        """Minimum of nu_p over all coefficients, nu_p(gcd(nums) / den); None (+infinity) for 0."""
-        return nu_p(p, Fraction(math.gcd(*self._nums), self._den))
 
     # ---- serialization --------------------------------------------------
 

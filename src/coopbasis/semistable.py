@@ -26,16 +26,6 @@ from .errors import DEFAULT_RESIDUE_BUDGET, ResourceLimitError
 from .poly import DEFAULT_MAX_DEGREE, Poly, _reduced
 
 
-def binomial_poly(n: int) -> Poly:
-    """The binomial coefficient polynomial x(x-1)...(x-n+1)/n!."""
-    if n < 0:
-        raise ValueError(f"expected a natural number, got {n}")
-    product = Poly.one()
-    for i in range(n):
-        product = product * Poly((-i, 1))
-    return product * Fraction(1, math.factorial(n))
-
-
 @functools.lru_cache(maxsize=None)
 def g_poly(n: int) -> Poly:
     """The semistable basis polynomial (w-1)(w-3)...(w-(2n-1))/(2^n n!)."""
@@ -54,7 +44,10 @@ class GExpansion:
     __slots__ = ("_vector",)
 
     def __init__(self, coefficients: Mapping[int, Fraction | int] | Iterable[tuple[int, Fraction | int]] = ()) -> None:
-        items = {int(j): c for j, c in dict(coefficients).items()}
+        items = dict(coefficients)
+        for j in items:
+            if type(j) is not int:  # a plain type test refuses bool too
+                raise TypeError(f"g-indices must be ints, got {j!r}")
         if min(items, default=0) < 0 or max(items, default=0) > DEFAULT_MAX_DEGREE:  # stored densely
             raise ValueError(f"g-indices must be in 0..{DEFAULT_MAX_DEGREE}, got {min(items)}..{max(items)}")
         self._vector = Poly(items.get(j, 0) for j in range(max(items, default=-1) + 1))
@@ -70,37 +63,16 @@ class GExpansion:
         """``(nums, den)`` with b_j = nums[j] / den, as ``Poly.as_integer_ratio`` returns them."""
         return self._vector.as_integer_ratio()
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(j for j, b in enumerate(self._vector.as_integer_ratio()[0]) if b)
-
-    def __len__(self) -> int:
-        return len(self.support)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GExpansion):
             return self._vector == other._vector
-        if isinstance(other, dict):
-            return self == GExpansion(other)
         return NotImplemented
 
     def __repr__(self) -> str:
         return f"GExpansion({dict(self.items())!r})"
 
-    def to_poly(self) -> Poly:
-        """Recombine sum b_j * g_j."""
-        acc = Poly.zero()
-        for j, b in self.items():
-            acc = acc + g_poly(j) * b
-        return acc
-
     def to_json(self) -> dict[str, str]:
         return {str(j): str(c) for j, c in self.items()}
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, str]) -> "GExpansion":
-        """Inverse of ``to_json``; a value that is not a string must be an exact rational."""
-        return cls({int(j): Fraction(c) if isinstance(c, str) else c for j, c in data.items()})
 
 
 def _odd_values(nums: tuple[int, ...], count: int) -> list[int]:

@@ -10,13 +10,14 @@ import random
 import time
 from fractions import Fraction
 
-from coopbasis import (Poly, SymbolicPoly, alpha_p, binomial_poly,
+from coopbasis import (Poly, SymbolicPoly, alpha_p,
                        cover_rank, cycle_to_string, enumerate_m1, expand_in_g,
                        expand_in_phi, g_poly, hazewinkel_t_solutions,
                        is_semistable_2local, is_semistable_plocal_residues,
                        legendre_valuation_factorial, margolis_homology,
-                       monomial_af, phi_family, phi_family_oracle, phi_monomial,
-                       q_square_is_zero, verify_congruences, weight_value)
+                       phi_family, phi_family_oracle, phi_monomial,
+                       q_square_is_zero, verify_congruences, weight)
+from references import binomial_poly, evaluate, monomial_af, substitute_affine
 
 FAM6 = phi_family(2, 6)
 
@@ -54,9 +55,9 @@ def test_criterion_02_concrete_values():
     ok = fam2.phi(1) == Poly((Fraction(-1, 2), Fraction(1, 2)))
     ok = ok and fam2.phi(2) == Poly((Fraction(-3, 8), Fraction(1, 4),
                                      Fraction(-1, 8), Fraction(1, 4)))
-    ok = ok and fam2.phi(2).evaluate(3) == 6
-    ok = ok and fam2.phi(3).evaluate(3) == 255
-    ok = ok and fam3.phi(2).evaluate(2) == 28
+    ok = ok and evaluate(fam2.phi(2), 3) == 6
+    ok = ok and evaluate(fam2.phi(3), 3) == 255
+    ok = ok and evaluate(fam3.phi(2), 2) == 28
     _report(2, ok, "phi_1, phi_2, phi_2(3)=6, phi_3(3)=255, phi_2(2)=28 at p=3")
 
 
@@ -80,7 +81,7 @@ def test_criterion_04_congruence_suite():
     ok = ok and witness.weight_lhs == -3 and witness.weight_rhs == -3
     ok = ok and witness.weight_diff == -2
     diff = g_poly(2) - FAM6.phi(2)
-    ok = ok and expand_in_g(diff) == {3: -12, 2: -16, 1: -6}
+    ok = ok and dict(expand_in_g(diff).items()) == {3: -12, 2: -16, 1: -6}
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 30
     _report(4, ok, f"all 6 claims for n <= 16 ({len(checks)} checks); witness n=2: "
@@ -88,11 +89,11 @@ def test_criterion_04_congruence_suite():
 
 
 def test_criterion_05_filtration_values():
-    ok = all(weight_value(FAM6.phi(n)) == -(2 ** n - 1) for n in range(1, 6))
-    ok = ok and all(weight_value(_monomial(k)) == alpha_p(2, k) - 2 * k
+    ok = all(weight(FAM6.phi(n)).weight == -(2 ** n - 1) for n in range(1, 6))
+    ok = ok and all(weight(_monomial(k)).weight == alpha_p(2, k) - 2 * k
                     for k in range(33))
     ok = ok and all(monomial_af(2, k) == alpha_p(2, k) - 2 * k for k in range(33))
-    ok = ok and expand_in_g(FAM6.phi(2)) == {3: 12, 2: 17, 1: 6}
+    ok = ok and dict(expand_in_g(FAM6.phi(2)).items()) == {3: 12, 2: 17, 1: 6}
     _report(5, ok, "W(phi_n) = -(2^n - 1) for n <= 5; W(m_k) = alpha(k) - 2k "
                    "for k <= 32; phi_2 expansion {12, 17, 6}")
 
@@ -165,7 +166,7 @@ def test_criterion_08_expansion_convergence():
     ok = weights == sorted(set(weights))
     first = expansion.trace[0]
     ok = ok and first.indices == (2,) and first.coefficients == ((2, Fraction(2)),)
-    ok = ok and weight_value(f - _monomial(2) * 2) == -1
+    ok = ok and weight(f - _monomial(2) * 2).weight == -1
     recombined = expansion.residual
     for k, c in expansion.exact_coeffs.items():
         recombined = recombined + _monomial(k) * c
@@ -178,7 +179,7 @@ def test_criterion_08_expansion_convergence():
 
 def test_criterion_09_coordinate_change():
     ok = all(
-        binomial_poly(n).substitute_affine(Fraction(1, 2), Fraction(-1, 2)) == g_poly(n)
+        substitute_affine(binomial_poly(n), Fraction(1, 2), Fraction(-1, 2)) == g_poly(n)
         for n in range(65))
     _report(9, ok, "binomial_poly(n)((w-1)/2) = g_n exactly for n <= 64")
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from coopbasis import (GExpansion, Poly, SymbolicPoly, alpha_p, base_p_digits,
-                       is_p_local_integer, is_prime, legendre_valuation_factorial, nu_p)
+                       is_prime, legendre_valuation_factorial, nu_p)
 
 
 def test_nu_p_examples():
@@ -24,7 +24,6 @@ def test_nu_p_examples():
     lambda x: nu_p(2, x),
     lambda x: GExpansion({1: x}),
     lambda x: Poly.from_json(["1", x]),
-    lambda x: GExpansion.from_json({"1": x}),
 ])
 def test_inexact_scalars_are_rejected(use, inexact):
     with pytest.raises(TypeError):
@@ -62,13 +61,6 @@ def test_legendre_matches_factored_factorials():
     for p in (2, 3, 5):
         for n in range(200):
             assert legendre_valuation_factorial(p, n) == nu_p(p, math.factorial(n))
-
-
-def test_p_local_membership():
-    assert is_p_local_integer(2, Fraction(3, 5))
-    assert not is_p_local_integer(2, Fraction(1, 2))
-    assert is_p_local_integer(3, Fraction(6, 2))
-    assert is_p_local_integer(7, 0)
 
 
 def test_is_prime_small_values():

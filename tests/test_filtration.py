@@ -7,11 +7,12 @@ from pathlib import Path
 import pytest
 
 import coopbasis
-from coopbasis import arith, filtration, phi, poly, semistable
+from coopbasis import arith, filtration, phi, semistable
 from coopbasis import (InternalConsistencyError, NotSemistableError, PhiFamily, Poly, alpha_p,
                        base_p_digits, congruent_mod_higher_af, expand_in_g, expand_in_phi,
-                       g_poly, is_semistable_2local, monomial_af, nu_p, phi_family,
-                       phi_monomial, verify_congruences, weight, weight_value)
+                       g_poly, is_semistable_2local, nu_p, phi_family,
+                       phi_monomial, verify_congruences, weight)
+from references import monomial_af
 
 DATA = Path(__file__).parent / "data"
 
@@ -28,7 +29,7 @@ def test_weight_examples():
     assert report.argmin == (2,)
 
     report = weight(FAM.phi(2))
-    assert report.expansion == {3: 12, 2: 17, 1: 6}
+    assert dict(report.expansion.items()) == {3: 12, 2: 17, 1: 6}
     assert report.weight == -3
 
     assert weight(Poly.zero()).weight is None
@@ -41,9 +42,9 @@ def test_weight_scales_with_powers_of_two():
         f = sum((g_poly(j) * rng.randint(-8, 8) for j in range(6)), Poly.zero())
         if f.is_zero():
             continue
-        assert weight_value(f * 2) == weight_value(f) + 1
+        assert weight(f * 2).weight == weight(f).weight + 1
         c = Fraction(rng.randint(1, 64), rng.choice((1, 3, 5)))
-        assert weight_value(f * c) == weight_value(f) + nu_p(2, c)
+        assert weight(f * c).weight == weight(f).weight + nu_p(2, c)
 
 
 def test_weight_sub_additivity():
@@ -53,21 +54,21 @@ def test_weight_sub_additivity():
         g = sum((g_poly(j) * rng.randint(-6, 6) for j in range(5)), Poly.zero())
         if f.is_zero() or g.is_zero():
             continue
-        assert weight_value(f * g) >= weight_value(f) + weight_value(g)
-        assert weight_value(f + g) >= min(weight_value(f), weight_value(g))
+        assert weight(f * g).weight >= weight(f).weight + weight(g).weight
+        assert weight(f + g).weight >= min(weight(f).weight, weight(g).weight)
 
 
 def test_weight_of_phi_and_monomials():
     for n in range(1, 6):
-        assert weight_value(FAM.phi(n)) == -(2 ** n - 1)
+        assert weight(FAM.phi(n)).weight == -(2 ** n - 1)
     for k in range(33):
-        assert weight_value(monomial(k)) == alpha_p(2, k) - 2 * k == monomial_af(2, k)
+        assert weight(monomial(k)).weight == alpha_p(2, k) - 2 * k == monomial_af(2, k)
 
 
 def test_congruence_examples():
     assert congruent_mod_higher_af(g_poly(2), FAM.phi(2))
-    assert weight_value(g_poly(2) - FAM.phi(2)) == -2
-    assert expand_in_g(g_poly(2) - FAM.phi(2)) == {3: -12, 2: -16, 1: -6}
+    assert weight(g_poly(2) - FAM.phi(2)).weight == -2
+    assert dict(expand_in_g(g_poly(2) - FAM.phi(2)).items()) == {3: -12, 2: -16, 1: -6}
 
     assert congruent_mod_higher_af(g_poly(1), FAM.phi(1))  # identical
     assert not congruent_mod_higher_af(FAM.phi(1), FAM.phi(1) * 2)
@@ -122,7 +123,7 @@ def test_verify_congruences_weights_match_the_polynomial_path():
     assert sorted((c.claim, c.n) for c in checks) == sorted(pairs)
     for check in checks:
         lhs, rhs = pairs[check.claim, check.n]
-        w_lhs, w_rhs, w_diff = weight_value(lhs), weight_value(rhs), weight_value(lhs - rhs)
+        w_lhs, w_rhs, w_diff = (weight(f).weight for f in (lhs, rhs, lhs - rhs))
         assert check.weight_lhs == w_lhs
         assert check.weight_rhs == w_rhs
         assert check.weight_diff == w_diff
@@ -143,7 +144,7 @@ def test_suite_and_2local_test_read_integer_coordinates(monkeypatch):
         counts["Fraction"] += 1
         return original_new(cls, *args, **kwargs)
 
-    for module in (coopbasis, arith, poly, semistable, filtration):  # every binding of the name
+    for module in (coopbasis, arith, semistable, filtration):  # every binding of the name
         monkeypatch.setattr(module, "nu_p", counted_nu_p)
     inputs = {n: [g_poly(j) for j in range(n + 1)] + [FAM.phi(2), Poly((0, Fraction(1, 2)))]
               for n in (8, 20)}
@@ -240,8 +241,8 @@ def test_expand_in_phi_worked_example():
     assert first.coefficients == ((2, Fraction(2)),)
     # after subtracting 2*m_2 the residual is -24g_3 - 32g_2 - 11g_1
     residual_1 = f - monomial(2) * 2
-    assert expand_in_g(residual_1) == {3: -24, 2: -32, 1: -11}
-    assert weight_value(residual_1) == -1
+    assert dict(expand_in_g(residual_1).items()) == {3: -24, 2: -32, 1: -11}
+    assert weight(residual_1).weight == -1
     assert expansion.residual_weight >= 4
 
 
@@ -284,7 +285,7 @@ def test_expand_in_phi_stores_the_residual_weight(monkeypatch):
     calls.clear()
     first, second = expansion.residual_weight, expansion.residual_weight
     assert calls == []
-    assert first == second == weight_value(expansion.residual)
+    assert first == second == weight(expansion.residual).weight
 
 
 def test_expand_in_phi_rejects_bad_input():

@@ -38,6 +38,14 @@ def test_monomial_validation():
     assert str(SteenrodMonomial(2)) == "1"
 
 
+def test_monomial_refuses_a_repeated_zeta_index():
+    # as with a repeated tau, a factor given twice is refused, not dropped or merged
+    for repeated in ([(3, 1), (3, 1)], [(3, 1), (3, 0)], ((2, 2), (1, 2), (2, 4))):
+        with pytest.raises(ValueError, match="distinct"):
+            SteenrodMonomial(2, repeated)
+    assert SteenrodMonomial(2, [(3, 1), (2, 2)]) == SteenrodMonomial(2, {2: 2, 3: 1})
+
+
 def test_enumerate_m1_examples():
     basis2 = {str(m) for m in enumerate_m1(2, 2).basis}
     assert basis2 == {"z1^4", "z2^2", "z3"}

@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
+import coopbasis
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "coopbasis"
+CLIBENCH = PACKAGE.parent.parent / "clibench"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -65,3 +68,50 @@ def test_hazewinkel_oracle_shares_no_code_with_poly():
     assert "Poly" in poly_names and "_reduced" in poly_names
     assert seen >= {"SymbolicPoly", "hazewinkel_t_solutions", "_check_family_size"}
     assert used & poly_names == set()
+
+
+UNUSED_BY_DESIGN = {"congruent_mod_higher_af"}  # the paper's congruence, stated as one call
+
+
+def _mentions(trees, name, skip, attribute_only):
+    """True iff some tree spells name as an attribute (or, unless attribute_only, as a plain
+    name or an imported alias) outside the node skip."""
+    pending = list(trees)
+    while pending:
+        node = pending.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == name or not attribute_only and (
+                isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.alias) and name in (node.name, node.asname)):
+            return True
+        pending.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def test_every_export_is_used_outside_the_tests():
+    """Each name in ``coopbasis.__all__`` is referenced by package code outside its own
+    definition or by ``clibench/*.py``, and so is each public method of an exported class,
+    as an attribute.  A name that only tests reach belongs in the tests.
+
+    The check reads spellings from the AST, so two kinds of name are out of its reach.
+    Dunders are called by syntax, not by name.  A method whose name another class shares
+    counts as used when the other one is: ``Poly.from_json`` hid ``GExpansion.from_json``.
+    """
+    paths = [*sorted(PACKAGE.glob("*.py")), *sorted(CLIBENCH.glob("*.py"))]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in paths}
+    unused = []
+    for name, module in coopbasis._EXPORTS.items():
+        defined = {node.name: node for node in trees[PACKAGE / f"{module}.py"].body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        definition = defined.get(name)  # None for a constant
+        if not _mentions(trees.values(), name, definition, attribute_only=False):
+            unused.append(name)
+        if isinstance(definition, ast.ClassDef):
+            unused += [f"{name}.{method.name}" for method in definition.body
+                       if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+                       and not _mentions(trees.values(), method.name, method, attribute_only=True)]
+    extra = sorted(set(unused) - UNUSED_BY_DESIGN)
+    assert extra == [], f"reached only from the tests: {', '.join(extra)}"
+    assert UNUSED_BY_DESIGN <= set(unused)  # an exemption that stops being needed is dropped

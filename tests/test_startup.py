@@ -51,22 +51,22 @@ def test_a_subcommand_loads_only_the_modules_it_runs(argv, unused):
 
 
 EXPORTED = [
-    "alpha_p", "base_p_digits", "is_p_local_integer",
+    "alpha_p", "base_p_digits",
     "is_prime", "legendre_valuation_factorial", "nu_p", "require_prime",
     "InternalConsistencyError", "NotSemistableError", "PolyParseError",
     "ResourceLimitError", "WeightMonotonicityError",
     "CongruenceCheck", "PhiExpansion", "TraceStep", "WeightReport",
     "checks_to_json", "congruent_mod_higher_af", "expand_in_phi",
-    "verify_congruences", "weight", "weight_value",
+    "verify_congruences", "weight",
     "HomologyEntry", "M1Complex", "SteenrodMonomial", "apply_q", "apply_q_linear",
     "complex_to_json", "cover_rank", "cycle_to_string", "enumerate_m1",
     "expected_q0_generator", "expected_q1_generator", "homologous", "is_cycle",
     "margolis_homology", "q_square_is_zero",
     "DEFAULT_MAX_DEGREE", "PhiFamily", "PhiMonomial", "SymbolicPoly", "digit_products",
-    "hazewinkel_t_solutions", "monomial_af", "phi_family", "phi_family_oracle",
+    "hazewinkel_t_solutions", "phi_family", "phi_family_oracle",
     "phi_monomial", "phi_monomials",
     "Poly",
-    "DEFAULT_RESIDUE_BUDGET", "GExpansion", "binomial_poly", "expand_in_g",
+    "DEFAULT_RESIDUE_BUDGET", "GExpansion", "expand_in_g",
     "g_poly", "integrality_verdicts", "is_semistable_2local", "is_semistable_plocal_residues",
 ]
 
