@@ -24,6 +24,9 @@ def test_nu_p_examples():
     lambda x: nu_p(2, x),
     lambda x: GExpansion({1: x}),
     lambda x: Poly.from_json(["1", x]),
+    lambda x: Poly.one() + x,
+    lambda x: x - Poly.one(),
+    lambda x: Poly.monomial(x, 2),
 ])
 def test_inexact_scalars_are_rejected(use, inexact):
     with pytest.raises(TypeError):

@@ -81,6 +81,14 @@ def test_gexpansion_rejects_indices_it_cannot_store():
     assert GExpansion({3: 0, 1: Fraction(1, 2)}).items() == ((1, Fraction(1, 2)),)
 
 
+def test_gexpansion_is_never_equal_to_a_dict():
+    # equality with a mapping is not defined, so it neither matches nor raises
+    expansion = GExpansion({1: 1})
+    assert expansion != {1: 1}
+    assert expansion != {"x": 0}
+    assert expansion in [{"x": 0}, expansion]
+
+
 def test_is_semistable_2local_examples():
     assert is_semistable_2local(g_poly(1))
     assert not is_semistable_2local(Poly((0, Fraction(1, 2))))  # w/2 is 1/2 at w=1
