@@ -7,6 +7,9 @@ exactly 2k (resp. pk) is a finite complex under each Q_i, and its Margolis
 homology ker Q_i / im Q_i is computed degreewise by exact elimination
 over F_p: on sparse {position: coefficient} vectors at odd p, and at p = 2
 on int bit rows (bit t is position t), where each row operation is one XOR.
+At p = 2 the enumeration stores each column as its bit row, and every
+computation here reads those rows; a column is decoded into a dict only
+when it is read as a sequence item.
 
 Action conventions (derivations in all cases):
 
@@ -25,6 +28,7 @@ fields.  So a Q_i term is the key plus a fixed offset: no carry, no borrow.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from typing import Iterable, Mapping, NamedTuple
 
 from .arith import base_p_digits, legendre_valuation_factorial, require_prime
@@ -160,20 +164,65 @@ def apply_q_linear(i: int, cycle: Cycle) -> dict[SteenrodMonomial, int]:
     return {target: c for target, c in acc.items() if c}
 
 
+def _decoded(row: int) -> dict[int, int]:
+    """A bit row as the F_2 column {position: 1} of its set bits, lowest first."""
+    column = {}
+    while row:
+        low = row & -row
+        column[low.bit_length() - 1] = 1
+        row ^= low
+    return column
+
+
+class _BitColumns(Sequence):
+    """F_2 columns stored as int bit rows, read as a tuple of {position: 1} dicts.
+
+    ``rows[c]`` has bit t set for each position t that column c holds.  An
+    item is decoded when it is read, and the whole compares equal to the
+    tuple of its decoded columns.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[int, ...]) -> None:
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("stored columns are read-only")
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index: int) -> dict[int, int]:
+        return _decoded(self.rows[index])
+
+    def __iter__(self) -> Iterator[dict[int, int]]:
+        return map(_decoded, self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _BitColumns):
+            return self.rows == other.rows
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+
 class M1Complex(NamedTuple):
     """The weight-2k (p = 2) or weight-pk (odd p) monomial piece with both differentials.
 
     ``slices[d]`` is the degree-d part of the basis, in basis order.
     ``q0[d]`` and ``q1[d]`` map the degree-d slice to the slice in degree
     d-1 resp. d-(2p-1): one sparse column per source monomial, in slice
-    order, as {position in the target slice: nonzero coefficient}.
+    order, as {position in the target slice: nonzero coefficient}.  At
+    p = 2 they are ``_BitColumns``, which hold each column as a bit row and
+    decode it when it is read.
     """
 
     prime: int
     k: int
     basis: tuple[SteenrodMonomial, ...]
-    q0: dict[int, tuple[dict[int, int], ...]]
-    q1: dict[int, tuple[dict[int, int], ...]]
+    q0: dict[int, Sequence[dict[int, int]]]
+    q1: dict[int, Sequence[dict[int, int]]]
     slices: dict[int, tuple[SteenrodMonomial, ...]]
 
     def degrees(self) -> tuple[int, ...]:
@@ -182,9 +231,15 @@ class M1Complex(NamedTuple):
     def degree_slice(self, degree: int) -> tuple[SteenrodMonomial, ...]:
         return self.slices.get(degree, ())
 
-    def differential(self, i: int, degree: int) -> tuple[dict[int, int], ...]:
+    def differential(self, i: int, degree: int) -> Sequence[dict[int, int]]:
         _require_q(i)
         return (self.q0 if i == 0 else self.q1).get(degree, ())
+
+
+def _rows(complex_: M1Complex, i: int, degree: int) -> tuple[int, ...]:
+    """The Q_i columns out of ``degree`` as the bit rows a p = 2 complex stores."""
+    columns = (complex_.q0 if i == 0 else complex_.q1).get(degree)
+    return () if columns is None else columns.rows
 
 
 def q_degree_drop(p: int, i: int) -> int:
@@ -248,6 +303,8 @@ def enumerate_m1(p: int, k: int, budget: int = DEFAULT_RESIDUE_BUDGET) -> M1Comp
     A piece of more than ``budget`` monomials raises before any is built.
     """
     require_prime(p)
+    if type(k) is not int:  # a plain type test refuses bool too
+        raise TypeError(f"the weight index k must be an int, got {k!r}")
     if k < 0:
         raise ValueError(f"expected a natural weight index, got {k}")
     target = p * k
@@ -275,14 +332,26 @@ def enumerate_m1(p: int, k: int, budget: int = DEFAULT_RESIDUE_BUDGET) -> M1Comp
     shifts = [{m: (2 ** (i + 1) << width * (m - 1 - i)) - (1 << width * m) if p == 2
                else (p ** i << width * (m - i)) - (1 << taus + m) for m in range(2, top + 1)}
               for i in (0, 1)]
-    q: list[dict[int, list[dict[int, int]]]] = [{d: [] for d in slices}, {d: [] for d in slices}]
-    for degree, zeta, tau, key in found:  # the sign counts the odd generators passed over
-        odd = tau if p > 2 else [m for m, e in zeta if e % 2]
-        for shift, columns in zip(shifts, q):
-            columns[degree].append(dict.fromkeys([position[key + shift[m]] for m in odd], 1)
-                                   if p == 2 else {position[key + shift[m]]: p - 1 if c % 2 else 1
-                                                   for c, m in enumerate(odd)})
-    q0, q1 = ({d: tuple(cs) for d, cs in columns.items()} for columns in q)
+    if p == 2:  # z1 and z2 have even exponents, so each odd one is some z_m with m >= 3
+        shift0, shift1 = shifts
+        rows0: dict[int, list[int]] = {d: [] for d in slices}
+        rows1: dict[int, list[int]] = {d: [] for d in slices}
+        for degree, zeta, _, key in found:
+            row0 = row1 = 0
+            for m, e in zeta:
+                if e & 1:
+                    row0 |= 1 << position[key + shift0[m]]
+                    row1 |= 1 << position[key + shift1[m]]
+            rows0[degree].append(row0)
+            rows1[degree].append(row1)
+        q0, q1 = ({d: _BitColumns(tuple(rs)) for d, rs in rows.items()} for rows in (rows0, rows1))
+    else:
+        q: list[dict[int, list[dict[int, int]]]] = [{d: [] for d in slices} for _ in (0, 1)]
+        for degree, _, tau, key in found:  # the sign counts the odd generators passed over
+            for shift, columns in zip(shifts, q):
+                columns[degree].append({position[key + shift[m]]: p - 1 if c % 2 else 1
+                                        for c, m in enumerate(tau)})
+        q0, q1 = ({d: tuple(cs) for d, cs in columns.items()} for columns in q)
     return M1Complex(p, k, basis, q0, q1, {d: tuple(ms) for d, ms in slices.items()})
 
 
@@ -318,20 +387,6 @@ def _echelon(vectors: Iterable[dict[int, int]], p: int,
                 if pivot in row:
                     subtract(row, row[pivot], vector)
             rows[pivot] = vector
-    return rows
-
-
-def _bit_rows(columns: Iterable[dict[int, int]]) -> list[int]:
-    """F_2 columns as int bit rows: bit t is set for each position t a column holds.
-
-    At p = 2 every stored coefficient is 1, so a column is the set of its positions.
-    """
-    rows = []
-    for column in columns:
-        row = 0
-        for position in column:
-            row |= 1 << position
-        rows.append(row)
     return rows
 
 
@@ -392,13 +447,14 @@ def margolis_homology(complex_: M1Complex, i: int) -> tuple[HomologyEntry, ...]:
     coefficient 1, columns in the basis order of the slice); for
     one-dimensional homology this is the least representative in that ordering.
 
-    At p = 2 the vectors are int bit rows and each row operation is one XOR:
-    the plain elimination only finds pivots, and only the augmented rows that
-    lead at a source position are brought to reduced form.
+    At p = 2 the vectors are the stored bit rows and each row operation is
+    one XOR: the plain elimination only finds pivots, and only the augmented
+    rows that lead at a source position are brought to reduced form.
     """
+    _require_q(i)
     p = complex_.prime
     drop = q_degree_drop(p, i)
-    image_pivots = {degree - drop: set(_f2_echelon(_bit_rows(complex_.differential(i, degree)))
+    image_pivots = {degree - drop: set(_f2_echelon(_rows(complex_, i, degree))
                                        if p == 2 else _echelon(complex_.differential(i, degree), p))
                     for degree in complex_.degrees()}
     entries = []
@@ -412,9 +468,8 @@ def margolis_homology(complex_: M1Complex, i: int) -> tuple[HomologyEntry, ...]:
         source = width + len(slice_)  # source keys start here
         if p == 2:
             at_pivots = sum(pivots)  # the pivots are distinct bits
-            columns = _bit_rows(complex_.differential(i, degree))
             echelon = _f2_echelon(row | (1 << c & at_pivots) << width | 1 << source + c
-                                  for c, row in enumerate(columns))
+                                  for c, row in enumerate(_rows(complex_, i, degree)))
             kernel = _f2_reduced({pivot: row for pivot, row in echelon.items() if pivot >> source})
             generators = tuple(tuple((m, 1) for c, m in enumerate(slice_) if row >> source + c & 1)
                                for _, row in sorted(kernel.items()))
@@ -452,19 +507,19 @@ def homologous(complex_: M1Complex, i: int, a: Cycle, b: Cycle) -> bool:
         return not degrees  # True when every term is 0 mod p: a - b is the zero cycle
     degree = degrees.pop()
     position = {m: c for c, m in enumerate(complex_.degree_slice(degree))}
-    image = complex_.differential(i, degree + q_degree_drop(p, i))
+    above = degree + q_degree_drop(p, i)
     if p == 2:  # every coefficient left is odd
         bits = 0
         for monomial, _ in terms:
             bits ^= 1 << position[monomial]
-        echelon = _f2_echelon(_bit_rows(image))
+        echelon = _f2_echelon(_rows(complex_, i, above))
         while bits and (row := echelon.get(bits & -bits)):
             bits ^= row
         return not bits
     difference: dict[int, int] = {}
     for monomial, coeff in terms:
         difference[position[monomial]] = difference.get(position[monomial], 0) + coeff
-    rows = _echelon(image, p)
+    rows = _echelon(complex_.differential(i, above), p)
     rank = len(rows)
     return len(_echelon([difference], p, rows)) == rank
 
@@ -474,21 +529,24 @@ def q_square_is_zero(complex_: M1Complex, i: int) -> bool:
 
     Each composite column sums the second map's columns at the first
     column's positions, weighted by its coefficients; at p = 2 it is the
-    XOR of the second map's bit rows.
+    XOR of the second map's bit rows at the set bits of the first's.
     """
+    _require_q(i)
     p = complex_.prime
     drop = q_degree_drop(p, i)
     for degree in complex_.degrees():
-        second = complex_.differential(i, degree - drop)
         if p == 2:
-            rows = _bit_rows(second)
-            for column in complex_.differential(i, degree):
+            second = _rows(complex_, i, degree - drop)
+            for row in _rows(complex_, i, degree):
                 bits = 0
-                for position in column:
-                    bits ^= rows[position]
+                while row:
+                    low = row & -row
+                    bits ^= second[low.bit_length() - 1]
+                    row ^= low
                 if bits:
                     return False
             continue
+        second = complex_.differential(i, degree - drop)
         for column in complex_.differential(i, degree):
             composite: dict[int, int] = {}
             for position, coeff in column.items():

@@ -62,6 +62,17 @@ def monomial_af(p, k):
     return total
 
 
+def bit_rows(columns):
+    """F_2 columns {position: 1} as int bit rows: bit t is set for each position t a column has."""
+    rows = []
+    for column in columns:
+        row = 0
+        for position in column:
+            row |= 1 << position
+        rows.append(row)
+    return rows
+
+
 def monomial_sort_key(m):
     """The order of a weight piece's basis: by degree, then zeta, then tau."""
     return (m.degree(), m.zeta, m.tau)

@@ -43,6 +43,16 @@ def test_the_tracer_reaches_every_margolis_span():
         assert counts[f"margolis.{name}.calls"] == 10, name
 
 
+def test_the_tracer_counts_of_the_p2_complexes_are_pinned():
+    # matrix_cells is the column count times the first column's nonzeros,
+    # read through the stored tables: pinned at their values before the
+    # p = 2 columns were stored as bit rows
+    counts = _trace("verify", "--prime", "2", "--max-n", "1", "--max-k", "12")["sum"]
+    assert counts["margolis.enumerate_m1.calls"] == 13
+    assert counts["margolis.enumerate_m1.basis_total"] == 225
+    assert counts["margolis.matrix_cells"] == 292
+
+
 def test_every_benchmark_kernel_runs():
     for call in kernels.kernels().values():
         call()

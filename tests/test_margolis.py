@@ -12,6 +12,7 @@ from coopbasis import (DEFAULT_RESIDUE_BUDGET, InternalConsistencyError,
                        apply_q_linear, complex_to_json, cover_rank, cycle_to_string,
                        enumerate_m1, expected_q0_generator, expected_q1_generator,
                        homologous, is_cycle, margolis_homology, q_square_is_zero)
+from references import bit_rows
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -57,6 +58,15 @@ def test_enumerate_m1_examples():
 
     complex0 = enumerate_m1(2, 0)
     assert [str(m) for m in complex0.basis] == ["1"]
+
+
+@pytest.mark.parametrize("k", [True, 2.0, Fraction(2), "2", None])
+def test_enumeration_refuses_a_weight_index_that_is_not_an_int(monkeypatch, k):
+    calls = []
+    _count_calls(monkeypatch, calls, margolis, "_generators")
+    with pytest.raises(TypeError, match=r"weight index k must be an int, got "):
+        enumerate_m1(2, k)
+    assert calls == []
 
 
 def test_enumeration_budget():
@@ -174,6 +184,33 @@ def test_stored_differentials_are_apply_q(p, top):
                     assert image == apply_q(i, m), (p, k, i, m)
 
 
+@pytest.mark.parametrize("k", range(13))
+def test_p2_columns_are_stored_as_bit_rows_and_read_as_dicts(k):
+    complex_ = enumerate_m1(2, k)
+    for table in (complex_.q0, complex_.q1):
+        for columns in table.values():
+            decoded = tuple(columns)
+            assert all(x == 1 for column in decoded for x in column.values())
+            assert columns.rows == tuple(bit_rows(decoded))
+            assert len(columns) == len(decoded) and bool(columns)
+            assert [columns[c] for c in range(-len(decoded), len(decoded))] == [*decoded, *decoded]
+            assert columns == decoded and decoded == columns
+            assert columns == margolis._BitColumns(columns.rows)
+            assert columns != list(decoded)
+            with pytest.raises(AttributeError):
+                columns.rows = ()
+            with pytest.raises(TypeError):
+                columns[0] = {}
+
+
+def test_verify_at_p2_reads_the_stored_rows_and_decodes_no_column(monkeypatch):
+    calls = []
+    _count_calls(monkeypatch, calls, margolis.M1Complex, "differential")
+    _count_calls(monkeypatch, calls, margolis, "_decoded")
+    assert cli._verify_margolis(2, 24, 10 ** 7) == (True, {"max_k": 24, "failures": []})
+    assert calls == []
+
+
 def test_q_squares_to_zero():
     for p, top in ((2, 12), (3, 9)):
         for k in range(top + 1):
@@ -183,14 +220,20 @@ def test_q_squares_to_zero():
 
 
 def _with_nonzero_q_square(complex_, i):
-    """The complex with one Q_i column sent to a monomial whose own Q_i image is nonzero."""
+    """The complex with one Q_i column sent to a monomial whose own Q_i image is nonzero.
+
+    At p = 2 the column is replaced in its stored form, a bit row with that one bit set.
+    """
     drop = margolis.q_degree_drop(complex_.prime, i)
     for degree in complex_.degrees():
         lower = complex_.differential(i, degree - drop)
         target = next((t for t, column in enumerate(lower) if column), None)
         if target is not None:
             table = dict(complex_.q0 if i == 0 else complex_.q1)
-            table[degree] = ({target: 1}, *table[degree][1:])
+            if complex_.prime == 2:
+                table[degree] = margolis._BitColumns((1 << target, *table[degree].rows[1:]))
+            else:
+                table[degree] = ({target: 1}, *table[degree][1:])
             return complex_._replace(**{f"q{i}": table})
     raise AssertionError("no degree has a nonzero Q_i below it")
 
@@ -290,7 +333,7 @@ def test_margolis_homology_augments_only_where_homology_lives(monkeypatch, p, k,
     complex_ = enumerate_m1(p, k)
     columns = [list(complex_.differential(i, degree)) for degree in complex_.degrees()]
     if p == 2:
-        columns = [margolis._bit_rows(vectors) for vectors in columns]
+        columns = [bit_rows(vectors) for vectors in columns]
     calls = []
     echelon = getattr(margolis, _elimination(p))
 

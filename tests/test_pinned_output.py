@@ -4,7 +4,9 @@ tests/data/verify_sha256.json pins the SHA-256 of stdout and stderr and the
 exit code of runs larger than the clibench references: ``verify --format
 json`` at four primes and, at p = 2, also at ``--max-n 100``, a suite size
 that is not a power of two (the top phi has degree 127, while the suite's
-products reach degree 199); ``phi --prime 3 --n 6``; and ``margolis --format
+products reach degree 199), and at ``--max-n 1 --max-k 48``, which runs
+``q_square_is_zero``, ``margolis_homology`` and ``homologous`` on every
+weight piece up to k = 48; ``phi --prime 3 --n 6``; and ``margolis --format
 json`` at (p, k) = (2, 64), (3, 90), (5, 125) and (7, 98), whose homology
 generators ``verify`` does not print.  It also pins the pretty output of
 every subcommand and the CSV output of the four that have a table, at small

@@ -15,7 +15,7 @@ from coopbasis import (GExpansion, HomologyEntry, Poly, SymbolicPoly, base_p_dig
 from coopbasis import margolis
 from coopbasis.margolis import M1Complex, SteenrodMonomial, _echelon, q_degree_drop
 from coopbasis.semistable import _mahler
-from references import evaluate, gexpansion_from_json, monomial_sort_key, to_poly
+from references import bit_rows, evaluate, gexpansion_from_json, monomial_sort_key, to_poly
 
 PROPERTY = settings(database=None, derandomize=True, deadline=None)
 
@@ -312,7 +312,7 @@ def test_xor_image_pivots_match_the_sparse_echelon(i):
         complex_ = enumerate_m1(2, k)
         for degree in complex_.degrees():
             columns = complex_.differential(i, degree)
-            pivots = margolis._f2_echelon(margolis._bit_rows(columns))
+            pivots = margolis._f2_echelon(bit_rows(columns))
             assert {pivot.bit_length() - 1 for pivot in pivots} == set(_echelon(columns, 2))
 
 
