@@ -29,6 +29,8 @@ fields.  So a Q_i term is the key plus a fixed offset: no carry, no borrow.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .arith import base_p_digits, legendre_valuation_factorial, require_prime
@@ -36,18 +38,21 @@ from .errors import DEFAULT_RESIDUE_BUDGET, InternalConsistencyError, ResourceLi
 
 Cycle = tuple[tuple["SteenrodMonomial", int], ...]
 Zeta = tuple[tuple[int, int], ...]
-Key = tuple[Zeta, tuple[int, ...]]  # the (zeta, tau) a SteenrodMonomial stores
+Key = tuple[Zeta, tuple[int, ...]]  # the (zeta, tau) of a SteenrodMonomial
 Generator = tuple[bool, int, int, int, int]  # (exterior, index, step, weight and degree per step)
 
 
-class SteenrodMonomial:
-    """A monomial in the conjugate Milnor generators, normalized and hashable."""
+class SteenrodMonomial(tuple):
+    """A monomial in the conjugate Milnor generators: the normalized tuple (prime, zeta, tau)."""
 
-    __slots__ = ("prime", "zeta", "tau")
+    __slots__ = ()
+    prime = property(itemgetter(0))
+    zeta = property(itemgetter(1))
+    tau = property(itemgetter(2))
 
-    def __init__(self, prime: int,
-                 zeta: Mapping[int, int] | Iterable[tuple[int, int]] = (),
-                 tau: Iterable[int] = ()) -> None:
+    def __new__(cls, prime: int,
+                zeta: Mapping[int, int] | Iterable[tuple[int, int]] = (),
+                tau: Iterable[int] = ()) -> SteenrodMonomial:
         require_prime(prime)
         exps = {}
         pairs = tuple(zeta.items() if hasattr(zeta, "keys") else zeta)  # as dict() reads it
@@ -74,47 +79,27 @@ class SteenrodMonomial:
                 raise ValueError("tau generators are exterior (multiplicity one)")
             if taus and taus[0] < 2:
                 raise ValueError("tau indices start at 2 in this quotient")
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "zeta", tuple(sorted(exps.items())))
-        object.__setattr__(self, "tau", taus)
+        return tuple.__new__(cls, (prime, tuple(sorted(exps.items())), taus))
 
-    @classmethod
-    def _trusted(cls, prime: int, zeta: Zeta, tau: tuple[int, ...]) -> SteenrodMonomial:
-        """A monomial from a (zeta, tau) already in normal form, built without any check."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "tau", tau)
-        return self
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("SteenrodMonomial is immutable")
+    def __reduce__(self) -> tuple[type, tuple[int, Zeta, tuple[int, ...]]]:
+        return SteenrodMonomial, tuple(self)  # copy and pickle rebuild through the checks
 
     def weight(self) -> int:
-        p = self.prime
+        p, zeta, tau = self
         if p == 2:
-            return sum(e << m - 1 for m, e in self.zeta)
-        return (sum(e * p ** m for m, e in self.zeta)
-                + sum(p ** m for m in self.tau))
+            return sum(e << m - 1 for m, e in zeta)
+        return sum(e * p ** m for m, e in zeta) + sum(p ** m for m in tau)
 
     def degree(self) -> int:
-        p = self.prime
+        p, zeta, tau = self
         if p == 2:
-            return sum(e * (2 ** m - 1) for m, e in self.zeta)
-        return (sum(e * 2 * (p ** m - 1) for m, e in self.zeta)
-                + sum(2 * p ** m - 1 for m in self.tau))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SteenrodMonomial):
-            return NotImplemented
-        return (self.prime, self.zeta, self.tau) == (other.prime, other.zeta, other.tau)
-
-    def __hash__(self) -> int:
-        return hash((self.prime, self.zeta, self.tau))
+            return sum(e * (2 ** m - 1) for m, e in zeta)
+        return sum(e * 2 * (p ** m - 1) for m, e in zeta) + sum(2 * p ** m - 1 for m in tau)
 
     def __str__(self) -> str:
-        parts = [f"z{m}^{e}" if e > 1 else f"z{m}" for m, e in self.zeta]
-        parts += [f"tau{m}" for m in self.tau]
+        _, zeta, tau = self
+        parts = [f"z{m}^{e}" if e > 1 else f"z{m}" for m, e in zeta]
+        parts += [f"tau{m}" for m in tau]
         return " ".join(parts) if parts else "1"
 
     def __repr__(self) -> str:
@@ -189,6 +174,9 @@ class _BitColumns(Sequence):
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("stored columns are read-only")
+
+    def __reduce__(self) -> tuple[type, tuple[tuple[int, ...]]]:
+        return _BitColumns, (self.rows,)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -317,42 +305,44 @@ def enumerate_m1(p: int, k: int, budget: int = DEFAULT_RESIDUE_BUDGET) -> M1Comp
     width, top = target.bit_length() + 1, gens[-1][1]
     taus = width * (top + 1)
     found = sorted(_monomials(p, gens, target, width, taus))  # by (degree, zeta, tau)
-    basis = tuple(SteenrodMonomial._trusted(p, zeta, tau) for _, zeta, tau, _ in found)
-    if len(basis) != size or any(m.weight() != target for m in basis):
+    if len(found) != size:
         raise InternalConsistencyError(
-            f"enumeration at weight {target} disagrees with its count {size} or its weights")
-
-    slices: dict[int, list[SteenrodMonomial]] = {}
-    position = {}
-    for (degree, *_, key), m in zip(found, basis):
-        position[key] = len(slices.setdefault(degree, []))
-        slices[degree].append(m)
+            f"enumeration at weight {target} found {len(found)} monomials, not its count {size}")
 
     # Q_i takes the unit of an odd generator m to 2^(i+1) in z_(m-1-i) (p^i in z_(m-i))
-    shifts = [{m: (2 ** (i + 1) << width * (m - 1 - i)) - (1 << width * m) if p == 2
-               else (p ** i << width * (m - i)) - (1 << taus + m) for m in range(2, top + 1)}
-              for i in (0, 1)]
-    if p == 2:  # z1 and z2 have even exponents, so each odd one is some z_m with m >= 3
-        shift0, shift1 = shifts
-        rows0: dict[int, list[int]] = {d: [] for d in slices}
-        rows1: dict[int, list[int]] = {d: [] for d in slices}
-        for degree, zeta, _, key in found:
+    shift0, shift1 = ({m: (2 ** (i + 1) << width * (m - 1 - i)) - (1 << width * m) if p == 2
+                       else (p ** i << width * (m - i)) - (1 << taus + m)
+                       for m in range(2, top + 1)} for i in (0, 1))
+    slices: dict[int, list[SteenrodMonomial]] = {}
+    q0: dict[int, list] = {}
+    q1: dict[int, list] = {}
+    position: dict[int, int] = {}
+    for degree, zeta, tau, key in found:  # each Q_i term is lower in degree, so already placed
+        m = tuple.__new__(SteenrodMonomial, (p, zeta, tau))
+        if m.weight() != target:
+            raise InternalConsistencyError(f"enumeration at weight {target} found {m}")
+        if degree not in slices:  # found is sorted, so each degree's records come together
+            members, columns0, columns1 = slices[degree], q0[degree], q1[degree] = [], [], []
+        position[key] = len(members)
+        members.append(m)
+        if p == 2:  # z1 and z2 have even exponents, so each odd one is some z_m with m >= 3
             row0 = row1 = 0
-            for m, e in zeta:
+            for index, e in zeta:
                 if e & 1:
-                    row0 |= 1 << position[key + shift0[m]]
-                    row1 |= 1 << position[key + shift1[m]]
-            rows0[degree].append(row0)
-            rows1[degree].append(row1)
-        q0, q1 = ({d: _BitColumns(tuple(rs)) for d, rs in rows.items()} for rows in (rows0, rows1))
-    else:
-        q: list[dict[int, list[dict[int, int]]]] = [{d: [] for d in slices} for _ in (0, 1)]
-        for degree, _, tau, key in found:  # the sign counts the odd generators passed over
-            for shift, columns in zip(shifts, q):
-                columns[degree].append({position[key + shift[m]]: p - 1 if c % 2 else 1
-                                        for c, m in enumerate(tau)})
-        q0, q1 = ({d: tuple(cs) for d, cs in columns.items()} for columns in q)
-    return M1Complex(p, k, basis, q0, q1, {d: tuple(ms) for d, ms in slices.items()})
+                    row0 |= 1 << position[key + shift0[index]]
+                    row1 |= 1 << position[key + shift1[index]]
+            columns0.append(row0)
+            columns1.append(row1)
+        else:  # the sign counts the odd generators passed over
+            columns0.append({position[key + shift0[index]]: p - 1 if c % 2 else 1
+                             for c, index in enumerate(tau)})
+            columns1.append({position[key + shift1[index]]: p - 1 if c % 2 else 1
+                             for c, index in enumerate(tau)})
+    stored = _BitColumns if p == 2 else tuple
+    return M1Complex(p, k, tuple(chain.from_iterable(slices.values())),
+                     {d: stored(tuple(cs)) for d, cs in q0.items()},
+                     {d: stored(tuple(cs)) for d, cs in q1.items()},
+                     {d: tuple(ms) for d, ms in slices.items()})
 
 
 # ---- exact linear algebra over F_p -------------------------------------
@@ -498,15 +488,16 @@ def homologous(complex_: M1Complex, i: int, a: Cycle, b: Cycle) -> bool:
     _require_q(i)
     p = complex_.prime
     terms = [*a, *((monomial, -coeff) for monomial, coeff in b)]
+    position = {m: c for degree in {monomial.degree() for monomial, _ in terms}
+                for c, m in enumerate(complex_.degree_slice(degree))}
     for monomial, _ in terms:
-        if monomial not in complex_.degree_slice(monomial.degree()):
+        if monomial not in position:
             raise ValueError(f"{monomial} is not in the weight piece of k={complex_.k} at p={p}")
     terms = [(monomial, coeff) for monomial, coeff in terms if coeff % p]
     degrees = {monomial.degree() for monomial, _ in terms}
     if len(degrees) != 1:
         return not degrees  # True when every term is 0 mod p: a - b is the zero cycle
     degree = degrees.pop()
-    position = {m: c for c, m in enumerate(complex_.degree_slice(degree))}
     above = degree + q_degree_drop(p, i)
     if p == 2:  # every coefficient left is odd
         bits = 0

@@ -53,6 +53,15 @@ def test_the_tracer_counts_of_the_p2_complexes_are_pinned():
     assert counts["margolis.matrix_cells"] == 292
 
 
+def test_the_tracer_counts_of_the_odd_prime_complexes_are_pinned():
+    # at p = 3 the columns are sparse dicts with one term per tau, so
+    # matrix_cells follows the enumeration's odd-p column build
+    counts = _trace("verify", "--prime", "3", "--max-n", "1", "--max-k", "30")["sum"]
+    assert counts["margolis.enumerate_m1.calls"] == 31
+    assert counts["margolis.enumerate_m1.basis_total"] == 783
+    assert counts["margolis.matrix_cells"] == 1128
+
+
 def test_every_benchmark_kernel_runs():
     for call in kernels.kernels().values():
         call()

@@ -1,7 +1,9 @@
+import copy
 import gc
 import inspect
 import json
 import pathlib
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -21,22 +23,47 @@ def zeta(p, exps, tau=()):
     return SteenrodMonomial(p, exps, tau)
 
 
+REFUSED_MONOMIALS = [
+    ((2, {1: 3}), ValueError),  # z1 must have even exponent at p=2
+    ((2, {}, (2,)), ValueError),  # no tau at p=2
+    ((3, {}, (1,)), ValueError),  # tau indices start at 2
+    *(((3, zeta_exps, taus), TypeError)
+      for zeta_exps, taus in (({1: 1.5}, ()), ({1: True}, ()), ({True: 2}, ()), ({2.0: 2}, ()),
+                              ({}, (2.0,)), ({}, (True, 2)), ({1: Fraction(2)}, ()))),
+]
+
+
 def test_monomial_validation():
-    with pytest.raises(ValueError):
-        SteenrodMonomial(2, {1: 3})  # z1 must have even exponent at p=2
-    with pytest.raises(ValueError):
-        SteenrodMonomial(2, {}, (2,))  # no tau at p=2
-    with pytest.raises(ValueError):
-        SteenrodMonomial(3, {}, (1,))  # tau indices start at 2
-    for zeta_exps, taus in (({1: 1.5}, ()), ({1: True}, ()), ({True: 2}, ()), ({2.0: 2}, ()),
-                            ({}, (2.0,)), ({}, (True, 2)), ({1: Fraction(2)}, ())):
-        with pytest.raises(TypeError):
-            SteenrodMonomial(3, zeta_exps, taus)
+    for args, error in REFUSED_MONOMIALS:
+        with pytest.raises(error):
+            SteenrodMonomial(*args)
     m = SteenrodMonomial(3, {1: 2}, (2, 3))
     assert m.weight() == 2 * 3 + 9 + 27
     assert m.degree() == 2 * (2 * (3 - 1)) + (2 * 9 - 1) + (2 * 27 - 1)
     assert str(m) == "z1^2 tau2 tau3"
     assert str(SteenrodMonomial(2)) == "1"
+
+
+def test_monomial_is_a_checked_read_only_tuple_record():
+    m = SteenrodMonomial(3, {2: 1, 1: 2}, (3, 2))
+    pairs = SteenrodMonomial(3, [(1, 2), (2, 1)], [2, 3])
+    assert m == pairs and hash(m) == hash(pairs)
+    assert m == (3, ((1, 2), (2, 1)), (2, 3)) and hash(m) == hash(tuple(m))
+    assert (m.prime, m.zeta, m.tau) == tuple(m) == (m[0], m[1], m[2])
+    for name in ("prime", "zeta", "tau", "undeclared"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, 5)
+    assert not hasattr(m, "__dict__")
+    assert not hasattr(SteenrodMonomial, "_make") and not hasattr(SteenrodMonomial, "_replace")
+    for args, error in REFUSED_MONOMIALS:  # type(m)(...) is the checked constructor too
+        with pytest.raises(error):
+            type(m)(*args)
+    unchecked = tuple.__new__(SteenrodMonomial, (2, ((1, 3),), ()))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):  # a copy is rebuilt through the checks
+        with pytest.raises(ValueError, match="even exponent"):
+            pickle.loads(pickle.dumps(unchecked, protocol))
+    with pytest.raises(ValueError, match="even exponent"):
+        copy.deepcopy(unchecked)
 
 
 def test_monomial_refuses_a_repeated_zeta_index():
@@ -95,8 +122,7 @@ def _count_calls(monkeypatch, calls, owner, name, wrap=lambda f: f):
 
 def test_enumeration_budget_is_checked_before_any_monomial_is_built(monkeypatch):
     built = []
-    _count_calls(monkeypatch, built, SteenrodMonomial, "__init__")
-    _count_calls(monkeypatch, built, SteenrodMonomial, "_trusted", staticmethod)
+    _count_calls(monkeypatch, built, SteenrodMonomial, "__new__", staticmethod)
     _count_calls(monkeypatch, built, margolis, "_monomials")
     with pytest.raises(ResourceLimitError) as info:
         enumerate_m1(2, 40, budget=100)
@@ -106,7 +132,7 @@ def test_enumeration_budget_is_checked_before_any_monomial_is_built(monkeypatch)
 
 def test_enumeration_builds_no_validated_monomial_and_no_sparse_image(monkeypatch):
     calls = []
-    _count_calls(monkeypatch, calls, SteenrodMonomial, "__init__")
+    _count_calls(monkeypatch, calls, SteenrodMonomial, "__new__", staticmethod)
     _count_calls(monkeypatch, calls, margolis, "_q_image")
     complexes = [enumerate_m1(2, 20), enumerate_m1(3, 30)]
     assert calls == []
@@ -114,6 +140,7 @@ def test_enumeration_builds_no_validated_monomial_and_no_sparse_image(monkeypatc
     # the trusted monomials are the ones the checked constructor makes
     for complex_ in complexes:
         for m in complex_.basis:
+            assert type(m) is SteenrodMonomial
             assert m == SteenrodMonomial(m.prime, dict(m.zeta), m.tau)
 
 

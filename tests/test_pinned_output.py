@@ -6,9 +6,12 @@ json`` at four primes and, at p = 2, also at ``--max-n 100``, a suite size
 that is not a power of two (the top phi has degree 127, while the suite's
 products reach degree 199), and at ``--max-n 1 --max-k 48``, which runs
 ``q_square_is_zero``, ``margolis_homology`` and ``homologous`` on every
-weight piece up to k = 48; ``phi --prime 3 --n 6``; and ``margolis --format
+weight piece up to k = 48, and at p = 3 with ``--max-n 1 --max-k 60``,
+the odd-prime benchmark's run; ``phi --prime 3 --n 6``; ``margolis --format
 json`` at (p, k) = (2, 64), (3, 90), (5, 125) and (7, 98), whose homology
-generators ``verify`` does not print.  It also pins the pretty output of
+generators ``verify`` does not print; and ``margolis --format csv`` at
+(2, 40) and (3, 90), which print each monomial's degree and weight in basis
+order.  It also pins the pretty output of
 every subcommand and the CSV output of the four that have a table, at small
 sizes, which the clibench references (all JSON) do not cover, and the JSON
 verdicts of ``check-integrality`` at odd p: two integral inputs (e = 11 at

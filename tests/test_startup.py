@@ -4,8 +4,10 @@ The import guards run in child processes, so they hold whatever this test
 process has already imported.
 """
 
+import copy
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,7 @@ import pytest
 
 import coopbasis
 from coopbasis import (CongruenceCheck, HomologyEntry, M1Complex, PhiExpansion, PhiFamily,
-                       PhiMonomial, Poly, TraceStep, WeightReport, checks_to_json,
+                       PhiMonomial, Poly, SteenrodMonomial, TraceStep, WeightReport, checks_to_json,
                        enumerate_m1, expand_in_phi, margolis_homology, phi_family,
                        phi_monomial, verify_congruences, weight)
 
@@ -124,6 +126,20 @@ def test_records_keep_their_fields_and_refuse_assignment():
         for field in fields + ("undeclared",):
             with pytest.raises(AttributeError):
                 setattr(record, field, None)
+
+
+def test_records_copy_and_pickle_to_equal_records():
+    records = [record for record, _ in _records().values()]
+    records.append(SteenrodMonomial(3, {1: 2}, (2, 3)))
+    for p, k in ((2, 12), (3, 12)):
+        complex_ = enumerate_m1(p, k)
+        records += [complex_, *margolis_homology(complex_, 0), *margolis_homology(complex_, 1)]
+    for record in records:
+        copies = [copy.copy(record), copy.deepcopy(record)]
+        copies += [pickle.loads(pickle.dumps(record, protocol))
+                   for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies:
+            assert type(twin) is type(record) and twin == record
 
 
 def test_records_keep_their_defaults_and_methods():
